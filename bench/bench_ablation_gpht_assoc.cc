@@ -20,7 +20,6 @@
 #include "common/cli.hh"
 #include "common/table_writer.hh"
 #include "core/gpht_predictor.hh"
-#include "core/set_assoc_gpht_predictor.hh"
 #include "workload/spec2000.hh"
 
 using namespace livephase;
@@ -74,8 +73,9 @@ main(int argc, char **argv)
         sums[0] += ref_acc;
         row.push_back(formatPercent(ref_acc));
         for (size_t g = 0; g < geometries.size(); ++g) {
-            SetAssocGphtPredictor predictor(8, geometries[g].sets,
-                                            geometries[g].ways);
+            GphtPredictor predictor(
+                8, geometries[g].sets * geometries[g].ways,
+                geometries[g].sets);
             const double acc =
                 evaluatePredictor(trace, classifier, predictor)
                     .accuracy();

@@ -18,7 +18,6 @@
 #include "core/gpht_predictor.hh"
 #include "core/last_value_predictor.hh"
 #include "core/phase_classifier.hh"
-#include "core/set_assoc_gpht_predictor.hh"
 #include "core/variable_window_predictor.hh"
 #include "cpu/core.hh"
 #include "kernel/phase_kernel_module.hh"
@@ -113,13 +112,13 @@ BM_GphtPredictorMissPath(benchmark::State &state)
 }
 BENCHMARK(BM_GphtPredictorMissPath);
 
-/** Set-associative variant: miss path scans only one set's ways,
+/** Hashed 4-way sets: the miss path scans only one set's ways,
  *  bounding the in-handler worst case regardless of capacity. */
 void
 BM_SetAssocGphtMissPath(benchmark::State &state)
 {
-    SetAssocGphtPredictor predictor(
-        8, static_cast<size_t>(state.range(0)), 4);
+    const auto sets = static_cast<size_t>(state.range(0));
+    GphtPredictor predictor(8, sets * 4, sets);
     Rng rng(6);
     for (auto _ : state) {
         predictor.observePhase(

@@ -3,19 +3,25 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
 #include "common/logging.hh"
 
 namespace livephase
 {
 
-GphtPredictor::GphtPredictor(size_t gphr_depth, size_t pht_entries)
-    : depth(gphr_depth), capacity(pht_entries)
+GphtPredictor::GphtPredictor(size_t gphr_depth, size_t pht_entries,
+                             size_t sets)
+    : depth(gphr_depth), capacity(pht_entries), num_sets(sets)
 {
     if (depth == 0)
         fatal("GphtPredictor: GPHR depth must be non-zero");
     if (capacity == 0)
         fatal("GphtPredictor: PHT must have at least one entry");
+    if (num_sets == 0 || capacity % num_sets != 0)
+        fatal("GphtPredictor: %zu PHT entries do not split into %zu "
+              "sets", capacity, num_sets);
+    num_ways = capacity / num_sets;
     gphr.assign(depth, INVALID_PHASE);
     pht.assign(capacity, PhtEntry{});
     gphr_fill = 0;
@@ -68,9 +74,10 @@ GphtPredictor::step(const PhaseSample &sample)
         return;
     }
 
-    // 4. Associative PHT lookup.
+    // 4. Associative lookup in the GPHR's set.
     ++counters.lookups;
-    const int hit = lookup();
+    const size_t base = setBase();
+    const int hit = lookup(base);
     if (hit >= 0) {
         ++counters.hits;
         PhtEntry &entry = pht[static_cast<size_t>(hit)];
@@ -86,7 +93,7 @@ GphtPredictor::step(const PhaseSample &sample)
 
     // 5. Miss: predict last value and install the current pattern.
     current_prediction = gphr[0];
-    const int victim = victimIndex();
+    const int victim = victimIndex(base);
     PhtEntry &entry = pht[static_cast<size_t>(victim)];
     if (entry.age >= 0)
         ++counters.replacements;
@@ -119,8 +126,11 @@ GphtPredictor::reset()
 std::string
 GphtPredictor::name() const
 {
-    return "GPHT_" + std::to_string(depth) + "_" +
-        std::to_string(capacity);
+    if (num_sets == 1)
+        return "GPHT_" + std::to_string(depth) + "_" +
+            std::to_string(capacity);
+    return "GPHTsa_" + std::to_string(depth) + "_" +
+        std::to_string(num_sets) + "x" + std::to_string(num_ways);
 }
 
 size_t
@@ -143,7 +153,12 @@ void
 GphtPredictor::saveState(std::ostream &os) const
 {
     os << "GPHT-STATE 1\n";
-    os << depth << ' ' << capacity << '\n';
+    // A fully associative table omits the set count, so states saved
+    // before the table had sets still load.
+    os << depth << ' ' << capacity;
+    if (num_sets != 1)
+        os << ' ' << num_sets;
+    os << '\n';
     os << gphr_fill << ' ' << lru_clock << ' ' << pending_train
        << ' ' << current_prediction << '\n';
     for (PhaseId p : gphr)
@@ -170,13 +185,19 @@ GphtPredictor::loadState(std::istream &is)
         version != 1) {
         fatal("GphtPredictor::loadState: bad header");
     }
-    size_t saved_depth = 0, saved_capacity = 0;
-    if (!(is >> saved_depth >> saved_capacity))
+    std::string geometry;
+    std::getline(is >> std::ws, geometry);
+    std::istringstream fields(geometry);
+    size_t saved_depth = 0, saved_capacity = 0, saved_sets = 1;
+    if (!(fields >> saved_depth >> saved_capacity))
         fatal("GphtPredictor::loadState: truncated geometry");
-    if (saved_depth != depth || saved_capacity != capacity)
+    if (!(fields >> saved_sets))
+        saved_sets = 1;
+    if (saved_depth != depth || saved_capacity != capacity ||
+        saved_sets != num_sets)
         fatal("GphtPredictor::loadState: geometry mismatch "
-              "(saved %zux%zu, this %zux%zu)", saved_depth,
-              saved_capacity, depth, capacity);
+              "(saved %zux%zu/%zu, this %zux%zu/%zu)", saved_depth,
+              saved_capacity, saved_sets, depth, capacity, num_sets);
     if (!(is >> gphr_fill >> lru_clock >> pending_train >>
           current_prediction) ||
         gphr_fill > depth ||
@@ -200,10 +221,25 @@ GphtPredictor::loadState(std::istream &is)
     counters = Stats{};
 }
 
-int
-GphtPredictor::lookup() const
+size_t
+GphtPredictor::setBase() const
 {
-    for (size_t i = 0; i < capacity; ++i) {
+    if (num_sets == 1)
+        return 0;
+    // FNV-1a over the history register; cheap and well mixed for
+    // the tiny phase alphabet.
+    uint64_t hash = 1469598103934665603ULL;
+    for (PhaseId p : gphr) {
+        hash ^= static_cast<uint64_t>(static_cast<uint32_t>(p));
+        hash *= 1099511628211ULL;
+    }
+    return static_cast<size_t>(hash % num_sets) * num_ways;
+}
+
+int
+GphtPredictor::lookup(size_t base) const
+{
+    for (size_t i = base; i < base + num_ways; ++i) {
         if (pht[i].age >= 0 && pht[i].tag == gphr)
             return static_cast<int>(i);
     }
@@ -211,11 +247,11 @@ GphtPredictor::lookup() const
 }
 
 int
-GphtPredictor::victimIndex()
+GphtPredictor::victimIndex(size_t base)
 {
     int victim = -1;
     int64_t oldest = 0;
-    for (size_t i = 0; i < capacity; ++i) {
+    for (size_t i = base; i < base + num_ways; ++i) {
         if (pht[i].age < 0)
             return static_cast<int>(i); // invalid entry available
         if (victim < 0 || pht[i].age < oldest) {

@@ -23,6 +23,14 @@
  * The fall-back guarantees the GPHT never does worse than the
  * last-value predictor on pattern-free workloads, while repetitive
  * phase patterns (loops) are captured exactly.
+ *
+ * Section 3.2 warns that "associatively searching through a 1024
+ * entry PHT may be undesirable" and deploys 128 entries. The table
+ * can also be split into `sets` buckets of `ways` entries: the GPHR
+ * hashes to one set and only that set's ways are searched (LRU
+ * within the set), bounding the lookup at O(ways) for any capacity
+ * at the price of conflict misses. `sets == 1` is the paper's fully
+ * associative table and skips the hash.
  */
 
 #ifndef LIVEPHASE_CORE_GPHT_PREDICTOR_HH
@@ -57,8 +65,12 @@ class GphtPredictor : public PhasePredictor
      *                    when 0.
      * @param pht_entries table capacity (1024 evaluated, 128
      *                    deployed); fatal() when 0.
+     * @param sets        hash buckets of pht_entries / sets ways
+     *                    each (1 = fully associative); fatal() when
+     *                    0 or when it does not divide pht_entries.
      */
-    GphtPredictor(size_t gphr_depth, size_t pht_entries);
+    GphtPredictor(size_t gphr_depth, size_t pht_entries,
+                  size_t sets = 1);
 
     void observe(const PhaseSample &sample) override;
     PhaseId predict() const override;
@@ -78,6 +90,12 @@ class GphtPredictor : public PhasePredictor
 
     /** Configured PHT capacity. */
     size_t phtEntries() const { return capacity; }
+
+    /** Number of hash buckets (1 = fully associative). */
+    size_t sets() const { return num_sets; }
+
+    /** Entries searched per lookup (phtEntries() / sets()). */
+    size_t ways() const { return num_ways; }
 
     /** Number of currently valid PHT entries. */
     size_t phtOccupancy() const;
@@ -100,7 +118,7 @@ class GphtPredictor : public PhasePredictor
     /**
      * Restore state saved by saveState(). fatal() when the stream
      * is malformed or was saved from a predictor with different
-     * (depth, entries) geometry.
+     * (depth, entries, sets) geometry.
      */
     void loadState(std::istream &is);
 
@@ -117,14 +135,20 @@ class GphtPredictor : public PhasePredictor
      *  iterates without per-step dispatch. */
     void step(const PhaseSample &sample);
 
-    /** Index of the matching valid entry, or -1. */
-    int lookup() const;
+    /** First PHT index of the set the current GPHR maps to. */
+    size_t setBase() const;
 
-    /** Index of the entry to (re)fill: first invalid, else LRU. */
-    int victimIndex();
+    /** Index of the matching valid entry in the set, or -1. */
+    int lookup(size_t base) const;
+
+    /** Index of the entry in the set to (re)fill: first invalid,
+     *  else LRU. */
+    int victimIndex(size_t base);
 
     size_t depth;
     size_t capacity;
+    size_t num_sets;
+    size_t num_ways;
     std::vector<PhaseId> gphr; ///< gphr[0] = most recent
     size_t gphr_fill;
     std::vector<PhtEntry> pht;

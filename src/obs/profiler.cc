@@ -324,22 +324,12 @@ struct ProfilerSignalAccess
     LIVEPHASE_PROFILER_NOSAN static void
     capture(Profiler &p, Profiler::ThreadState &state, void *uctx)
     {
-        Profiler::Ring &ring = *state.ring;
-        const uint64_t seq =
-            ring.cursor.load(std::memory_order_relaxed);
-        Profiler::Slot &slot = ring.slots[seq % p.ring_slots];
-        slot.version.store(2 * seq + 1, std::memory_order_release);
-        StackSample &rec = slot.sample;
-        rec.t_ns = rawMonotonicNs();
-        rec.tid = state.obs_tid;
-        std::memcpy(rec.thread_name, state.name,
-                    sizeof rec.thread_name);
-        rec.depth = static_cast<uint32_t>(unwindFromContext(
-            uctx, state.stack_lo, state.stack_hi, rec.pc,
-            StackSample::MAX_DEPTH));
-        slot.version.store(2 * seq + 2, std::memory_order_release);
-        ring.cursor.store(seq + 1, std::memory_order_release);
-        p.samples_total.fetch_add(1, std::memory_order_relaxed);
+        publish(p, state,
+                [&](uint64_t *pc) LIVEPHASE_PROFILER_NOSAN {
+                    return unwindFromContext(uctx, state.stack_lo,
+                                             state.stack_hi, pc,
+                                             StackSample::MAX_DEPTH);
+                });
 
         ProfilerSeries &series = profilerSeries();
         series.samples_total.inc();
@@ -365,11 +355,14 @@ struct ProfilerSignalAccess
     }
 #endif
 
-    /** Shared by recordSampleForTest: the handler's exact ring
-     *  write with a caller-supplied stack. */
-    static void
-    writeSynthetic(Profiler &p, Profiler::ThreadState &state,
-                   const uint64_t *pcs, size_t depth)
+    /** The one seqlock ring write, shared by the SIGPROF handler
+     *  and recordSampleForTest: odd version, fill the slot, even
+     *  version, publish the cursor. `fill(pc)` writes the stack into
+     *  pc[0, MAX_DEPTH) and returns its depth; it runs inside the
+     *  handler, so it must be async-signal-safe and NOSAN too. */
+    template <typename Fill>
+    LIVEPHASE_PROFILER_NOSAN static void
+    publish(Profiler &p, Profiler::ThreadState &state, Fill &&fill)
     {
         Profiler::Ring &ring = *state.ring;
         const uint64_t seq =
@@ -381,11 +374,7 @@ struct ProfilerSignalAccess
         rec.tid = state.obs_tid;
         std::memcpy(rec.thread_name, state.name,
                     sizeof rec.thread_name);
-        rec.depth = static_cast<uint32_t>(
-            std::min(depth, StackSample::MAX_DEPTH));
-        for (size_t i = 0; i < rec.depth; ++i) {
-            rec.pc[i] = pcs[i];
-        }
+        rec.depth = static_cast<uint32_t>(fill(rec.pc));
         slot.version.store(2 * seq + 2, std::memory_order_release);
         ring.cursor.store(seq + 1, std::memory_order_release);
         p.samples_total.fetch_add(1, std::memory_order_relaxed);
@@ -856,7 +845,14 @@ Profiler::recordSampleForTest(const uint64_t *pcs, size_t depth)
         registerCurrentThread("test");
         state = tlState();
     }
-    ProfilerSignalAccess::writeSynthetic(*this, *state, pcs, depth);
+    ProfilerSignalAccess::publish(
+        *this, *state, [&](uint64_t *pc) LIVEPHASE_PROFILER_NOSAN {
+            const size_t n = std::min(depth, StackSample::MAX_DEPTH);
+            for (size_t i = 0; i < n; ++i) {
+                pc[i] = pcs[i];
+            }
+            return n;
+        });
 }
 
 bool

@@ -11,7 +11,6 @@
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "core/last_value_predictor.hh"
-#include "core/set_assoc_gpht_predictor.hh"
 #include "core/variable_window_predictor.hh"
 #include "cpu/dvfs_table.hh"
 
@@ -105,9 +104,8 @@ SessionManager::SessionManager(Config config,
     prototypes[PredictorKind::Gpht] = std::make_unique<GphtPredictor>(
         cfg.gphr_depth, cfg.pht_entries);
     prototypes[PredictorKind::SetAssocGpht] =
-        std::make_unique<SetAssocGphtPredictor>(cfg.gphr_depth,
-                                                cfg.sa_sets,
-                                                cfg.sa_ways);
+        std::make_unique<GphtPredictor>(cfg.gphr_depth,
+                                        cfg.pht_entries, cfg.sa_sets);
     prototypes[PredictorKind::VariableWindow] =
         std::make_unique<VariableWindowPredictor>(cfg.var_window,
                                                   cfg.var_threshold);

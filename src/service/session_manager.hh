@@ -66,8 +66,9 @@ class SessionManager
         // Per-session predictor geometry (paper's deployed values).
         size_t gphr_depth = 8;
         size_t pht_entries = 128;
+        /** Hash sets of the "setassoc" kind's PHT (128 / 32 = 4
+         *  ways); must divide pht_entries. */
         size_t sa_sets = 32;
-        size_t sa_ways = 4;
         size_t var_window = 128;
         double var_threshold = 0.005;
     };

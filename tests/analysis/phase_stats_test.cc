@@ -128,28 +128,30 @@ TEST(PhaseStats, ValidationAndAccessors)
 
 TEST(GphtPersistence, SaveLoadRoundTripPreservesPredictions)
 {
-    GphtPredictor original(8, 64);
-    const std::vector<PhaseId> period{1, 1, 4, 4, 1, 1, 5, 5};
-    for (int rep = 0; rep < 30; ++rep)
-        for (PhaseId p : period)
-            original.observePhase(p);
+    for (size_t sets : {1, 16}) {
+        GphtPredictor original(8, 64, sets);
+        const std::vector<PhaseId> period{1, 1, 4, 4, 1, 1, 5, 5};
+        for (int rep = 0; rep < 30; ++rep)
+            for (PhaseId p : period)
+                original.observePhase(p);
 
-    std::stringstream state;
-    original.saveState(state);
-    GphtPredictor restored(8, 64);
-    restored.loadState(state);
+        std::stringstream state;
+        original.saveState(state);
+        GphtPredictor restored(8, 64, sets);
+        restored.loadState(state);
 
-    // Both predictors must now behave identically on a further
-    // pass over the pattern.
-    for (int rep = 0; rep < 3; ++rep) {
-        for (PhaseId p : period) {
-            original.observePhase(p);
-            restored.observePhase(p);
-            EXPECT_EQ(original.predict(), restored.predict());
+        // Both predictors must now behave identically on a further
+        // pass over the pattern.
+        for (int rep = 0; rep < 3; ++rep) {
+            for (PhaseId p : period) {
+                original.observePhase(p);
+                restored.observePhase(p);
+                EXPECT_EQ(original.predict(), restored.predict());
+            }
         }
+        EXPECT_EQ(original.phtOccupancy(), restored.phtOccupancy());
+        EXPECT_EQ(original.gphrContents(), restored.gphrContents());
     }
-    EXPECT_EQ(original.phtOccupancy(), restored.phtOccupancy());
-    EXPECT_EQ(original.gphrContents(), restored.gphrContents());
 }
 
 TEST(GphtPersistence, WarmStartSkipsRelearning)
@@ -200,6 +202,19 @@ TEST(GphtPersistence, RejectsCorruptOrMismatchedState)
         std::stringstream state;
         other.saveState(state);
         EXPECT_FAILURE(p.loadState(state)); // capacity mismatch
+    }
+    {
+        GphtPredictor other(8, 64, 16);
+        std::stringstream state;
+        other.saveState(state);
+        EXPECT_FAILURE(p.loadState(state)); // sets mismatch
+        std::stringstream again;
+        p.saveState(again);
+        EXPECT_FAILURE(other.loadState(again));
+        GphtPredictor fewer_sets(8, 64, 8);
+        std::stringstream hashed;
+        other.saveState(hashed);
+        EXPECT_FAILURE(fewer_sets.loadState(hashed));
     }
     {
         std::stringstream truncated("GPHT-STATE 1\n8 64\n");

@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the GPHT predictor — pattern learning, LRU replacement,
- * last-value fallback and the paper's convergence claims.
+ * last-value fallback and the paper's convergence claims — at the
+ * fully associative (sets == 1) and hashed set-associative
+ * geometries.
  */
 
 #include <gtest/gtest.h>
@@ -48,8 +50,10 @@ repeatPattern(const std::vector<PhaseId> &period, size_t times)
 
 TEST(Gpht, ColdPredictorIsInvalid)
 {
-    GphtPredictor p(8, 128);
-    EXPECT_EQ(p.predict(), INVALID_PHASE);
+    for (size_t sets : {1, 32, 128}) {
+        GphtPredictor p(8, 128, sets);
+        EXPECT_EQ(p.predict(), INVALID_PHASE) << sets;
+    }
 }
 
 TEST(Gpht, ActsAsLastValueUntilGphrFills)
@@ -179,30 +183,46 @@ TEST(Gpht, LruReplacementEvictsColdPatterns)
     EXPECT_GT(p.stats().replacements, 0u);
 }
 
+/** Stats invariants of one predictor driven over a periodic
+ *  sequence; shared by the fully associative and hashed cases. */
+void
+expectConsistentStats(GphtPredictor &p,
+                      const std::vector<PhaseId> &period)
+{
+    score(p, repeatPattern(period, 40));
+    const auto &s = p.stats();
+    EXPECT_GT(s.lookups, 0u) << p.name();
+    EXPECT_GT(s.hits, 0u) << p.name();
+    EXPECT_GT(s.insertions, 0u) << p.name();
+    EXPECT_LE(s.hits, s.lookups) << p.name();
+    EXPECT_EQ(s.hits + s.insertions, s.lookups) << p.name();
+}
+
+/** Train, reset, and check every piece of state is cold again. */
+void
+expectResetIsCold(GphtPredictor &p)
+{
+    for (int i = 0; i < 50; ++i)
+        p.observePhase(1 + (i % 3));
+    p.reset();
+    EXPECT_EQ(p.predict(), INVALID_PHASE) << p.name();
+    EXPECT_EQ(p.phtOccupancy(), 0u) << p.name();
+    EXPECT_EQ(p.stats().lookups, 0u) << p.name();
+    EXPECT_EQ(p.gphrContents(),
+              std::vector<PhaseId>(p.gphrDepth(), INVALID_PHASE))
+        << p.name();
+}
+
 TEST(Gpht, StatsAccounting)
 {
     GphtPredictor p(2, 16);
-    const auto seq = repeatPattern({1, 2, 3}, 20);
-    score(p, seq);
-    const auto &s = p.stats();
-    EXPECT_GT(s.lookups, 0u);
-    EXPECT_GT(s.hits, 0u);
-    EXPECT_GT(s.insertions, 0u);
-    EXPECT_LE(s.hits, s.lookups);
-    EXPECT_EQ(s.hits + s.insertions, s.lookups);
+    expectConsistentStats(p, {1, 2, 3});
 }
 
 TEST(Gpht, ResetRestoresColdState)
 {
     GphtPredictor p(4, 32);
-    for (int i = 0; i < 50; ++i)
-        p.observePhase(1 + (i % 3));
-    p.reset();
-    EXPECT_EQ(p.predict(), INVALID_PHASE);
-    EXPECT_EQ(p.phtOccupancy(), 0u);
-    EXPECT_EQ(p.stats().lookups, 0u);
-    EXPECT_EQ(p.gphrContents(),
-              std::vector<PhaseId>(4, INVALID_PHASE));
+    expectResetIsCold(p);
 }
 
 TEST(Gpht, GphrShiftsNewestFirst)
@@ -220,6 +240,7 @@ TEST(Gpht, NameEncodesConfiguration)
 {
     EXPECT_EQ(GphtPredictor(8, 1024).name(), "GPHT_8_1024");
     EXPECT_EQ(GphtPredictor(8, 128).name(), "GPHT_8_128");
+    EXPECT_EQ(GphtPredictor(8, 128, 1).name(), "GPHT_8_128");
 }
 
 TEST(Gpht, InvalidConfigIsFatal)
@@ -276,6 +297,125 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t(1), size_t(8),
                                          size_t(64), size_t(128),
                                          size_t(1024))));
+
+TEST(SetAssocGpht, GeometryAndName)
+{
+    const GphtPredictor p(8, 128, 32);
+    EXPECT_EQ(p.phtEntries(), 128u);
+    EXPECT_EQ(p.sets(), 32u);
+    EXPECT_EQ(p.ways(), 4u);
+    EXPECT_EQ(p.gphrDepth(), 8u);
+    EXPECT_EQ(p.name(), "GPHTsa_8_32x4");
+    EXPECT_EQ(GphtPredictor(8, 128, 128).name(), "GPHTsa_8_128x1");
+}
+
+TEST(SetAssocGpht, FallsBackToLastValueBeforeWarmup)
+{
+    GphtPredictor p(4, 16, 8);
+    p.observePhase(3);
+    EXPECT_EQ(p.predict(), 3);
+    p.observePhase(5);
+    EXPECT_EQ(p.predict(), 5);
+    p.observePhase(1);
+    EXPECT_EQ(p.predict(), 1);
+}
+
+TEST(SetAssocGpht, StatsAreConsistent)
+{
+    GphtPredictor deep(4, 8, 4);
+    expectConsistentStats(deep, {1, 2, 3, 4, 5, 6});
+    GphtPredictor shallow(2, 16, 8);
+    expectConsistentStats(shallow, {1, 2, 3});
+}
+
+TEST(SetAssocGpht, ResetRestoresColdState)
+{
+    GphtPredictor p(4, 16, 8);
+    expectResetIsCold(p);
+}
+
+TEST(SetAssocGpht, InvalidGeometryIsFatal)
+{
+    EXPECT_FAILURE(GphtPredictor(0, 16, 8));
+    EXPECT_FAILURE(GphtPredictor(8, 0, 8));   // zero ways
+    EXPECT_FAILURE(GphtPredictor(8, 16, 0));  // zero sets
+    EXPECT_FAILURE(GphtPredictor(8, 10, 4));  // 10 % 4 != 0
+    EXPECT_FAILURE(GphtPredictor(8, 8, 16));  // more sets than entries
+}
+
+TEST(SetAssocGpht, LearnsPeriodicPatterns)
+{
+    GphtPredictor p(8, 128, 32);
+    const auto seq =
+        repeatPattern({1, 1, 4, 4, 1, 1, 5, 5, 3, 3}, 50);
+    auto [correct, scored] = score(p, seq);
+    EXPECT_GT(double(correct) / scored, 0.9);
+}
+
+TEST(SetAssocGpht, MatchesFullyAssociativeAtEqualCapacity)
+{
+    // Same capacity, structured workload: the hashed design should
+    // track the fully associative one closely.
+    GphtPredictor hashed(8, 128, 32);
+    GphtPredictor full(8, 128);
+    const auto seq =
+        repeatPattern({1, 2, 2, 6, 6, 1, 3, 3, 1, 2, 5, 5}, 60);
+    auto [h_correct, n1] = score(hashed, seq);
+    auto [f_correct, n2] = score(full, seq);
+    ASSERT_EQ(n1, n2);
+    EXPECT_GE(h_correct, f_correct - n1 / 20);
+}
+
+TEST(SetAssocGpht, DirectMappedSuffersConflicts)
+{
+    // 128 sets x 1 way vs 32 x 4: same capacity, but the
+    // direct-mapped table cannot keep colliding patterns resident.
+    // With many distinct patterns, the 4-way design replaces less
+    // or hits more.
+    Rng rng(3);
+    std::vector<PhaseId> period;
+    for (int i = 0; i < 40; ++i)
+        period.push_back(static_cast<PhaseId>(rng.uniformInt(1, 6)));
+    const auto seq = repeatPattern(period, 30);
+
+    GphtPredictor direct(8, 128, 128);
+    GphtPredictor assoc(8, 128, 32);
+    auto [d_correct, n1] = score(direct, seq);
+    auto [a_correct, n2] = score(assoc, seq);
+    ASSERT_EQ(n1, n2);
+    // Associativity never hurts on this workload.
+    EXPECT_GE(a_correct, d_correct);
+}
+
+/** Property: across geometries of equal capacity, accuracy on a
+ *  structured workload stays within a band of the full-assoc
+ *  reference. */
+class GeometrySweep
+    : public ::testing::TestWithParam<std::pair<size_t, size_t>>
+{
+};
+
+TEST_P(GeometrySweep, NearFullAssociativeAccuracy)
+{
+    const auto [sets, ways] = GetParam();
+    GphtPredictor hashed(8, sets * ways, sets);
+    GphtPredictor full(8, sets * ways);
+    const auto seq =
+        repeatPattern({1, 1, 2, 2, 1, 1, 5, 5, 3, 3, 6, 6}, 60);
+    auto [h_correct, n1] = score(hashed, seq);
+    auto [f_correct, n2] = score(full, seq);
+    ASSERT_EQ(n1, n2);
+    EXPECT_GE(h_correct, f_correct - n1 / 10)
+        << sets << "x" << ways;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, GeometrySweep,
+    ::testing::Values(std::pair<size_t, size_t>{128, 1},
+                      std::pair<size_t, size_t>{64, 2},
+                      std::pair<size_t, size_t>{32, 4},
+                      std::pair<size_t, size_t>{16, 8},
+                      std::pair<size_t, size_t>{8, 16}));
 
 } // namespace
 } // namespace livephase

@@ -20,7 +20,6 @@
 #include "core/last_value_predictor.hh"
 #include "core/markov_predictor.hh"
 #include "core/run_length_predictor.hh"
-#include "core/set_assoc_gpht_predictor.hh"
 #include "core/variable_window_predictor.hh"
 
 using namespace livephase;
@@ -51,8 +50,7 @@ allFactories()
          [] { return std::make_unique<GphtPredictor>(8, 128); }},
         {"setassoc",
          [] {
-             return std::make_unique<SetAssocGphtPredictor>(8, 32,
-                                                            4);
+             return std::make_unique<GphtPredictor>(8, 128, 32);
          }},
         {"markov",
          [] { return std::make_unique<MarkovPredictor>(); }},

@@ -11,7 +11,6 @@
 #include "analysis/accuracy.hh"
 #include "analysis/power_perf.hh"
 #include "core/gpht_predictor.hh"
-#include "core/set_assoc_gpht_predictor.hh"
 #include "core/system.hh"
 #include "kernel/scheduler.hh"
 #include "workload/spec2000.hh"
@@ -118,7 +117,7 @@ TEST(ExtensionClaims, SetAssociativePhtMatchesFullAssocOnSpec)
     for (const auto *bench : Spec2000Suite::variableSet()) {
         const IntervalTrace trace = bench->makeTrace(400, SEED);
         GphtPredictor full(8, 128);
-        SetAssocGphtPredictor hashed(8, 32, 4);
+        GphtPredictor hashed(8, 128, 32);
         const double full_acc =
             evaluatePredictor(trace, classifier, full).accuracy();
         const double hashed_acc =

@@ -10,7 +10,7 @@
 
 #include <numeric>
 
-#include "core/set_assoc_gpht_predictor.hh"
+#include "core/gpht_predictor.hh"
 #include "core/system.hh"
 #include "workload/spec2000.hh"
 #include "test_util.hh"
@@ -156,7 +156,7 @@ TEST(MeasurementConsistency, CustomPredictorGovernorThroughSystem)
         DvfsPolicy::table2(classifier, DvfsTable::pentiumM());
     Governor governor(
         "gpht-sa", std::move(classifier),
-        std::make_unique<SetAssocGphtPredictor>(8, 32, 4),
+        std::make_unique<GphtPredictor>(8, 128, 32),
         std::move(policy), true);
     const System system;
     const IntervalTrace trace =

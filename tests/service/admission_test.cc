@@ -81,8 +81,9 @@ TEST(Ratekeeper, BudgetConvergesUnderSteadyOverload)
         // Anchored decrease: within a handful of ticks the budget
         // must be within an order of magnitude of capacity,
         // nowhere near the 1e9 it started from.
-        if (tick == 7)
+        if (tick == 7) {
             EXPECT_LT(keeper.budget(), 100.0 * CAPACITY);
+        }
     }
 
     EXPECT_GE(keeper.budget(), cfg.min_budget);

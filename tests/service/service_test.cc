@@ -29,7 +29,6 @@
 #include "common/random.hh"
 #include "core/gpht_predictor.hh"
 #include "core/last_value_predictor.hh"
-#include "core/set_assoc_gpht_predictor.hh"
 #include "core/variable_window_predictor.hh"
 #include "cpu/dvfs_table.hh"
 #include "service/client.hh"
@@ -74,8 +73,8 @@ makeReferencePredictor(PredictorKind kind,
         return std::make_unique<GphtPredictor>(cfg.gphr_depth,
                                                cfg.pht_entries);
       case PredictorKind::SetAssocGpht:
-        return std::make_unique<SetAssocGphtPredictor>(
-            cfg.gphr_depth, cfg.sa_sets, cfg.sa_ways);
+        return std::make_unique<GphtPredictor>(
+            cfg.gphr_depth, cfg.pht_entries, cfg.sa_sets);
       case PredictorKind::VariableWindow:
         return std::make_unique<VariableWindowPredictor>(
             cfg.var_window, cfg.var_threshold);

@@ -56,6 +56,18 @@ TEST(SessionManager, OpenFindClose)
     EXPECT_EQ(manager.openCount(), 0u);
 }
 
+TEST(SessionManager, DefaultPredictorNames)
+{
+    // The names QueryPhases reports; the "setassoc" kind is the
+    // deployed 128-entry GPHT split into 32 sets of 4 ways.
+    SessionManager manager;
+    EXPECT_EQ(manager.open(PredictorKind::Gpht).second->predictorName(),
+              "GPHT_8_128");
+    EXPECT_EQ(
+        manager.open(PredictorKind::SetAssocGpht).second->predictorName(),
+        "GPHTsa_8_32x4");
+}
+
 TEST(SessionManager, UnknownPredictorKind)
 {
     SessionManager manager;
