@@ -3,31 +3,39 @@
  * livephased throughput/latency benchmark: the batching payoff.
  *
  * M client threads drive S sessions through the in-process
- * transport (the real queue, worker pool and backpressure path),
- * replaying the same synthetic phase streams at batch sizes
- * K in {1, 16, 256}. Reported per K: aggregate intervals/sec and
- * the service-side SubmitBatch latency distribution (p50/p99 from
- * the stats op).
+ * transport (the real submit path: inline when idle, queue and
+ * worker pool under load, backpressure), replaying the same
+ * synthetic phase streams at batch sizes K in {1, 16, 256}.
+ * Reported per K: aggregate intervals/sec over the submit phase
+ * alone and the service-side SubmitBatch latency distribution
+ * (p50/p99 from the stats op).
  *
- * K = 1 pays one full frame + queue + future round trip per
+ * K = 1 pays one full frame + submit + future round trip per
  * interval; K = 256 amortizes that fixed cost 256 ways while still
- * taking the session lock once per batch, so throughput scales
- * nearly linearly until encode/classify work dominates.
+ * looking the session up and taking its lock once per batch, so
+ * throughput scales nearly linearly until encode/classify work
+ * dominates. Sessions run the last-value predictor: its per-interval
+ * cost is small next to a frame's, so the ratio measures the
+ * batching itself. Under GPHT the PHT search costs more per interval
+ * than a frame does and hides an unbatched dispatch (one lookup and
+ * one pipeline call per record) inside the run-to-run noise.
  *
  * Flags:
  *   --threads M     client threads            (default 4)
  *   --sessions S    total sessions            (default 16)
  *   --intervals N   intervals per session     (default 2048)
- *   --check         CI mode: exit 1 unless rate(K=256) >= 5x
- *                   rate(K=1)
+ *   --check         CI mode: exit 1 unless rate(K=256) >=
+ *                   MIN_SPEEDUP x rate(K=1)
  *   --json PATH     also write a machine-readable result file
  *                   (schema in scripts/bench_compare.py); CI
  *                   compares it against bench/baselines/
  */
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -43,6 +51,11 @@ using namespace livephase::service;
 
 namespace
 {
+
+/** The --check bar, set from measured runs: unbatched dispatch
+ *  stays below it, the real pipeline clears it with room to spare
+ *  (numbers in CHANGES.md). */
+constexpr double MIN_SPEEDUP = 15.0;
 
 std::vector<IntervalRecord>
 makeStream(uint64_t seed, size_t n)
@@ -76,8 +89,15 @@ runAtBatchSize(size_t batch, size_t threads, size_t sessions,
     LivePhaseService svc(cfg);
     InProcessTransport transport(svc);
 
+    // Only ingestion is timed: thread start-up, session opens and
+    // batch slicing happen before the start stamp, closes after each
+    // thread's finish stamp. On a short run those set-up costs would
+    // otherwise swamp the K=256 side and hide its per-record cost.
+    using Clock = std::chrono::steady_clock;
     const size_t per_thread = (sessions + threads - 1) / threads;
-    const auto start = std::chrono::steady_clock::now();
+    std::latch ready(static_cast<std::ptrdiff_t>(threads));
+    std::latch go(1);
+    std::vector<Clock::time_point> done(threads);
 
     std::vector<std::thread> clients;
     for (size_t t = 0; t < threads; ++t) {
@@ -85,36 +105,49 @@ runAtBatchSize(size_t batch, size_t threads, size_t sessions,
             ServiceClient client(transport);
             const size_t lo = t * per_thread;
             const size_t hi = std::min(lo + per_thread, sessions);
+            std::vector<uint64_t> ids;
+            std::vector<std::vector<std::vector<IntervalRecord>>>
+                batches;
             for (size_t s = lo; s < hi; ++s) {
-                const auto open = client.open(PredictorKind::Gpht);
+                const auto open = client.open(PredictorKind::LastValue);
                 if (open.status != Status::Ok)
                     fatal("open failed: %s",
                           statusName(open.status));
+                ids.push_back(open.session_id);
                 const auto stream = makeStream(s, intervals);
-                for (size_t at = 0; at < stream.size();
-                     at += batch) {
-                    const size_t n =
-                        std::min(batch, stream.size() - at);
-                    const std::vector<IntervalRecord> records(
+                auto &slices = batches.emplace_back();
+                for (size_t at = 0; at < stream.size(); at += batch)
+                    slices.emplace_back(
                         stream.begin() + at,
-                        stream.begin() + at + n);
-                    const auto reply = client.submitBatchRetrying(
-                        open.session_id, records);
+                        stream.begin() +
+                            std::min(at + batch, stream.size()));
+            }
+            ready.count_down();
+            go.wait();
+            for (size_t i = 0; i < ids.size(); ++i) {
+                for (const auto &records : batches[i]) {
+                    const auto reply =
+                        client.submitBatchRetrying(ids[i], records);
                     if (reply.status != Status::Ok)
                         fatal("submit failed: %s",
                               statusName(reply.status));
                 }
-                client.close(open.session_id);
             }
+            done[t] = Clock::now();
+            for (const uint64_t id : ids)
+                client.close(id);
         });
     }
+    ready.wait();
+    const Clock::time_point start = Clock::now();
+    go.count_down();
     for (std::thread &t : clients)
         t.join();
-
     const double seconds =
         std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
+            *std::max_element(done.begin(), done.end()) - start)
             .count();
+
     const StatsSnapshot snap = svc.stats();
     const double total =
         static_cast<double>(sessions) *
@@ -140,6 +173,8 @@ main(int argc, char **argv)
     const size_t intervals =
         static_cast<size_t>(args.getInt("intervals", 2048));
     const bool check = args.getBool("check");
+    if (threads == 0)
+        fatal("--threads must be > 0");
 
     printBanner(std::cout, "livephased batched-ingestion throughput");
     std::cout << threads << " client threads, " << sessions
@@ -206,9 +241,9 @@ main(int argc, char **argv)
         std::cout << "wrote " << path << "\n";
     }
 
-    if (check && speedup < 5.0) {
+    if (check && speedup < MIN_SPEEDUP) {
         std::cerr << "FAIL: batching speedup " << speedup
-                  << "x below the 5x bar\n";
+                  << "x below the " << MIN_SPEEDUP << "x bar\n";
         return 1;
     }
     return 0;

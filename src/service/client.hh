@@ -98,7 +98,9 @@ class FrameTransport
 
 /**
  * Transport into a LivePhaseService in the same process, through
- * its queue and worker pool (so backpressure is observable).
+ * submit(): served on the calling thread when the service is idle,
+ * through its queue and worker pool under load (so backpressure is
+ * observable).
  */
 class InProcessTransport : public FrameTransport
 {
@@ -120,7 +122,7 @@ class InProcessTransport : public FrameTransport
         // is answered without paying the copy or the future.
         if (svc.shedEarly(ByteView(request_frame), response))
             return true;
-        // The queue path must own its frame, so the request is
+        // submit() must own its frame, so the request is
         // copied into a pooled lease (a memcpy, not an allocation,
         // once the pool is warm). The response arrives as detached
         // pool storage; donating the caller's previous rx buffer

@@ -161,6 +161,12 @@ LivePhaseService::stop()
     for (std::thread &worker : pool)
         worker.join();
     pool.clear();
+    // A caller that claimed its slot before `stopping` was set may
+    // still be serving inline; one that claims after sees `stopping`
+    // and backs out, so once the count reads 0 no frame is served.
+    for (size_t busy = in_service.load(); busy != 0;
+         busy = in_service.load())
+        in_service.wait(busy);
     // Anything still queued (workers == 0 mode) must not leave its
     // client's future dangling.
     while (auto req = queue.tryPop())
@@ -286,6 +292,9 @@ LivePhaseService::submit(BufferPool::Lease request_frame,
         return result;
     }
 
+    if (serveInline(req))
+        return result;
+
     if (!queue.tryPush(std::move(req))) {
         // tryPush moves only on success, so req is still whole.
         const Status status = stopping.load(std::memory_order_acquire)
@@ -319,8 +328,55 @@ LivePhaseService::workerLoop()
     // Register with the profiling plane for the thread's lifetime;
     // while the profiler is stopped this is one registry insert.
     obs::ThreadProfile profile_guard("worker");
-    while (auto req = queue.pop())
+    while (auto req = queue.pop()) {
+        in_service.fetch_add(1);
         serveRequest(*req);
+        releaseSlot();
+    }
+}
+
+bool
+LivePhaseService::serveInline(Request &req)
+{
+    if (cfg.workers == 0 || queue.depth() != 0)
+        return false;
+    size_t busy = in_service.load();
+    do {
+        if (busy >= cfg.workers)
+            return false;
+    } while (!in_service.compare_exchange_weak(busy, busy + 1));
+    // Claim first, then read `stopping`: paired with stop()'s store
+    // then wait-for-zero, a frame is either waited for or refused.
+    if (stopping.load()) {
+        req.reply.set_value(rejectionResponse(
+            ByteView(*req.frame), Status::ShuttingDown));
+        releaseSlot();
+        return true;
+    }
+    // Frames queued while we claimed go first; join them.
+    if (queue.depth() != 0) {
+        releaseSlot();
+        return false;
+    }
+    static obs::Counter &inline_frames =
+        obs::MetricsRegistry::global().counter(
+            "livephase_service_inline_frames_total");
+    inline_frames.inc();
+    {
+        // The caller's client span must not parent the server
+        // spans: a worker would have started from an empty context.
+        obs::ScopedTrace isolate(obs::TraceContext{});
+        serveRequest(req);
+    }
+    releaseSlot();
+    return true;
+}
+
+void
+LivePhaseService::releaseSlot()
+{
+    if (in_service.fetch_sub(1) == 1 && stopping.load())
+        in_service.notify_all();
 }
 
 bool

@@ -3,10 +3,15 @@
  * `livephased` — the phase-prediction service.
  *
  * Serving shape: clients encode protocol frames (see protocol.hh)
- * and submit() them; each submit is one request — a bounded MPMC
- * queue hands it to a fixed worker pool, the worker parses,
- * dispatches against the sharded SessionManager, and fulfils the
- * client's future with the response frame. A full queue is answered
+ * and submit() them; each submit is one request. When the service is
+ * idle — empty queue, fewer than `workers` frames in service — the
+ * request is served on the submitting thread (caller-runs, as the
+ * paper's PMI handler computes its prediction on the CPU that took
+ * the interrupt) and the future comes back already fulfilled.
+ * Otherwise a bounded MPMC queue hands it to a fixed worker pool;
+ * the worker parses, dispatches against the sharded SessionManager,
+ * and fulfils the client's future with the response frame. Both
+ * paths run the same serveRequest(). A full queue is answered
  * *immediately* with Status::RetryAfter (never unbounded buffering,
  * never silent drops) — the client backs off and retries.
  *
@@ -15,9 +20,10 @@
  * thread per connection may call it directly, and the worker pool
  * itself is just a loop around it.
  *
- * With workers = 0 nothing drains the queue automatically; call
- * drainOne() to process requests by hand — tests use this to make
- * queue-full backpressure deterministic.
+ * With workers = 0 nothing drains the queue automatically and
+ * nothing is served inline; call drainOne() to process requests by
+ * hand — tests and the simulator use this to make queue state
+ * deterministic.
  */
 
 #ifndef LIVEPHASE_SERVICE_SERVICE_HH
@@ -119,13 +125,19 @@ class LivePhaseService
     LivePhaseService &operator=(const LivePhaseService &) = delete;
 
     /**
-     * Queue a leased request frame. The future always resolves with
-     * a response frame:
+     * Serve or queue a leased request frame. The future always
+     * resolves with a response frame:
+     *  - service idle (workers > 0, queue empty, fewer than
+     *    `workers` frames in service): served on the calling thread
+     *    before submit() returns, so the future is already ready;
      *  - queue accepted: resolved by a worker (or drainOne());
      *  - queue full: resolved immediately with RetryAfter;
      *  - service stopping: resolved immediately with ShuttingDown.
-     * The frame's storage is recycled through the lease once the
-     * worker is done with it; the response travels as owning Bytes
+     * The stopping, admission and "service.queue" failpoint checks
+     * run once per frame before either path. At most `workers`
+     * frames run inline alongside the pool's `workers`.
+     * The frame's storage is recycled through the lease once it has
+     * been served; the response travels as owning Bytes
      * (the std::future contract) whose storage was itself leased —
      * transports giveBack() their previous buffer to keep the
      * recycle loop closed. `pre_admitted` skips the QoS admission
@@ -199,8 +211,9 @@ class LivePhaseService
     /** The SLO watchdog; nullptr when disabled. */
     obs::Watchdog *watchdog() { return slo_watchdog.get(); }
 
-    /** Stop accepting work, drain the queue, join workers.
-     *  Idempotent; the destructor calls it. */
+    /** Stop accepting work, drain the queue, join workers, then
+     *  wait out frames still being served inline. Idempotent; the
+     *  destructor calls it. */
     void stop();
 
     const Config &config() const { return cfg; }
@@ -219,6 +232,14 @@ class LivePhaseService
 
     void workerLoop();
     void serveRequest(Request &req);
+
+    /** Caller-runs: serve `req` on this thread when the service is
+     *  idle. @return false (req untouched) when it must queue. */
+    bool serveInline(Request &req);
+
+    /** Give back an in-service slot; wakes stop() at zero. */
+    void releaseSlot();
+
     void dispatch(const RequestView &req, Bytes &out);
 
     /** Build the AdmissionControl (when cfg.admission.enabled) and
@@ -264,6 +285,10 @@ class LivePhaseService
     std::atomic<double> handle_ewma_us{0.0};
     std::vector<std::thread> pool;
     std::atomic<bool> stopping{false};
+    /** Frames being served now, inline or by a worker. Inline
+     *  callers claim a slot only below cfg.workers; workers never
+     *  wait for one. stop() waits for it to reach 0. */
+    std::atomic<size_t> in_service{0};
 };
 
 } // namespace livephase::service

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -11,6 +12,7 @@
 #include "fault/failpoint.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
+#include "obs/profiler.hh"
 
 namespace livephase::service
 {
@@ -239,9 +241,17 @@ UdsServer::acceptLoop()
 void
 UdsServer::serveConnection(int fd)
 {
+    // Caller-runs submit serves most frames on this thread, so a
+    // profiled daemon samples it like a worker. Registration costs a
+    // ~200 KB sample ring that outlives the thread, so an unprofiled
+    // daemon skips it; a profiled one started its profiler at
+    // construction, before any connection.
+    std::optional<obs::ThreadProfile> profile_guard;
+    if (obs::Profiler::global().running())
+        profile_guard.emplace("uds-conn");
     TransportCounters &tc = TransportCounters::get();
     tc.accepted.inc();
-    // Request frames are pooled leases (the queue takes ownership);
+    // Request frames are pooled leases (submit() takes ownership);
     // responses come back as detached pool storage that is donated
     // back after the send, so a busy connection recycles the same
     // few buffers instead of allocating per frame.

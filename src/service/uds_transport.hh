@@ -11,9 +11,11 @@
  * rather than guessing where the next frame starts.
  *
  * The server runs one acceptor thread plus one thread per
- * connection; every accepted frame is pushed through the service's
- * submit() path, so socket clients see the same queueing and
- * RetryAfter backpressure as in-process ones.
+ * connection; every accepted frame goes through the service's
+ * submit() path, so socket clients see the same admission, queueing
+ * and RetryAfter backpressure as in-process ones. An idle service
+ * serves the frame on the connection thread itself (caller-runs);
+ * under load it queues for the worker pool.
  */
 
 #ifndef LIVEPHASE_SERVICE_UDS_TRANSPORT_HH

@@ -13,13 +13,18 @@
  *
  * Also covered: queue-full backpressure (RetryAfter), malformed
  * frame rejection, batch limits, eviction/TTL behavior through the
- * protocol, the stats op, shutdown semantics and the UDS transport.
+ * protocol, the stats op, shutdown semantics, caller-runs serving
+ * (inline when idle, bounded by the worker count, safe against
+ * stop()) and the UDS transport.
  */
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +36,8 @@
 #include "core/last_value_predictor.hh"
 #include "core/variable_window_predictor.hh"
 #include "cpu/dvfs_table.hh"
+#include "obs/metrics.hh"
+#include "obs/profiler.hh"
 #include "service/client.hh"
 #include "service/request_queue.hh"
 #include "service/service.hh"
@@ -413,7 +420,138 @@ TEST(Service, StatsOpReportsTraffic)
         static_cast<size_t>(Op::SubmitBatch) - 1;
     EXPECT_EQ(snap.op_latency[raw_submit].count, 1u);
     EXPECT_GT(snap.op_latency[raw_submit].max_us, 0.0);
-    EXPECT_GE(snap.queue_high_water, 1u);
+    // A lone client finds the service idle every time: all of its
+    // frames are served inline and none ever touches the queue.
+    EXPECT_EQ(snap.queue_high_water, 0u);
+}
+
+TEST(Service, QueuedFramesRaiseHighWater)
+{
+    LivePhaseService::Config cfg;
+    cfg.workers = 0; // manual drain: never served inline
+    LivePhaseService svc(cfg);
+
+    auto reply = svc.submit(encodeStatsRequest());
+    EXPECT_NE(reply.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(svc.stats().queue_high_water, 1u);
+    EXPECT_TRUE(svc.drainOne());
+    ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    ParsedResponse resp;
+    ASSERT_TRUE(parseResponse(reply.get(), resp));
+    EXPECT_EQ(resp.status, Status::Ok);
+    EXPECT_EQ(svc.stats().queue_high_water, 1u);
+}
+
+TEST(Service, IdleSubmitIsServedInline)
+{
+    obs::Counter &inline_frames =
+        obs::MetricsRegistry::global().counter(
+            "livephase_service_inline_frames_total");
+    const uint64_t before = inline_frames.value();
+
+    LivePhaseService::Config cfg;
+    cfg.workers = 2;
+    LivePhaseService svc(cfg);
+    auto reply = svc.submit(encodeStatsRequest());
+    ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    ParsedResponse resp;
+    ASSERT_TRUE(parseResponse(reply.get(), resp));
+    EXPECT_EQ(resp.status, Status::Ok);
+    EXPECT_EQ(inline_frames.value() - before, 1u);
+    EXPECT_EQ(svc.stats().queue_high_water, 0u);
+}
+
+TEST(Service, InlineServingIsBoundedByWorkerCount)
+{
+    // The injected clock runs inside every served frame (session
+    // lookup and completion stamp), so concurrent clock callers are
+    // a lower bound on frames in service. It lingers to make any
+    // overlap visible.
+    std::atomic<int> inside{0};
+    std::atomic<int> peak{0};
+    auto clock = [&inside, &peak] {
+        const int now_inside = inside.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now_inside > seen &&
+               !peak.compare_exchange_weak(seen, now_inside)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        inside.fetch_sub(1);
+        return uint64_t{0};
+    };
+    LivePhaseService::Config cfg;
+    cfg.workers = 1;
+    const PhaseClassifier classifier = PhaseClassifier::table1();
+    LivePhaseService svc(
+        cfg, classifier,
+        DvfsPolicy::table2(classifier, DvfsTable::pentiumM()),
+        clock);
+
+    constexpr size_t CLIENTS = 8;
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < CLIENTS; ++c) {
+        clients.emplace_back([&svc, c] {
+            InProcessTransport transport(svc);
+            ServiceClient client(transport);
+            const auto open = client.open(PredictorKind::LastValue);
+            ASSERT_EQ(open.status, Status::Ok);
+            const auto stream = makeStream(c, 20);
+            for (const IntervalRecord &rec : stream)
+                ASSERT_EQ(client
+                              .submitBatchRetrying(open.session_id,
+                                                   {rec})
+                              .status,
+                          Status::Ok);
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+
+    // One inline frame plus one pool frame at most (workers = 1).
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), 2);
+}
+
+TEST(Service, StopRacingSubmittersResolvesEveryFuture)
+{
+    LivePhaseService::Config cfg;
+    cfg.workers = 2;
+    auto svc = std::make_unique<LivePhaseService>(cfg);
+
+    constexpr size_t CLIENTS = 8;
+    std::atomic<size_t> served{0};
+    std::atomic<size_t> bad{0};
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < CLIENTS; ++c) {
+        clients.emplace_back([&] {
+            for (;;) {
+                ParsedResponse resp;
+                if (!parseResponse(
+                        svc->submit(encodeStatsRequest()).get(),
+                        resp)) {
+                    bad.fetch_add(1);
+                    return;
+                }
+                if (resp.status == Status::ShuttingDown)
+                    return;
+                if (resp.status != Status::Ok) {
+                    bad.fetch_add(1);
+                    return;
+                }
+                served.fetch_add(1);
+            }
+        });
+    }
+    while (served.load() < 200 && bad.load() == 0)
+        std::this_thread::yield();
+    svc->stop();
+    for (std::thread &t : clients)
+        t.join();
+    EXPECT_EQ(bad.load(), 0u);
+    svc.reset();
 }
 
 TEST(Service, ShutdownRefusesNewWork)
@@ -460,6 +598,55 @@ TEST(Service, UdsTransportRoundTrip)
     EXPECT_EQ(client.close(open.session_id), Status::Ok);
 
     server.stop();
+}
+
+TEST(Service, ProfiledDaemonSamplesUdsConnectionThreads)
+{
+    LivePhaseService::Config cfg;
+    cfg.profiler.enabled = true;
+    cfg.profiler.sample_hz = 997;
+    cfg.profiler.counters = false;
+    LivePhaseService svc(cfg);
+    obs::Profiler &prof = obs::Profiler::global();
+    if (!prof.running())
+        GTEST_SKIP() << "per-thread CPU timers unavailable";
+    const std::string path =
+        "/tmp/livephased_prof_" +
+        std::to_string(static_cast<unsigned>(::getpid())) + ".sock";
+    UdsServer server(svc, path);
+    if (!server.start()) {
+        prof.stop();
+        GTEST_SKIP() << "AF_UNIX unavailable in this environment";
+    }
+
+    UdsClientTransport transport(path);
+    ASSERT_TRUE(transport.connect());
+    ServiceClient client(transport);
+    const auto open = client.open(PredictorKind::Gpht);
+    ASSERT_EQ(open.status, Status::Ok);
+    const auto batch = makeStream(7, 256);
+    auto connSampled = [&prof] {
+        for (const obs::StackSample &s : prof.snapshot())
+            if (std::string(s.thread_name) == "uds-conn")
+                return true;
+        return false;
+    };
+    // An idle service serves every frame on the connection thread,
+    // so that is where the CPU time, and the samples, land.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    bool sampled = false;
+    while (!sampled && std::chrono::steady_clock::now() < deadline) {
+        for (int i = 0; i < 20; ++i)
+            ASSERT_EQ(client.submitBatchRetrying(open.session_id, batch)
+                          .status,
+                      Status::Ok);
+        sampled = connSampled();
+    }
+    server.stop();
+    prof.stop();
+    prof.reset();
+    EXPECT_TRUE(sampled);
 }
 
 TEST(Service, UdsRejectsDesynchronizedStream)
