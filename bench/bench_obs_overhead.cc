@@ -7,7 +7,7 @@
  * stage, core counters, queue-wait histogram) at under 5% of
  * end-to-end service throughput. This bench measures exactly that:
  * the same pre-encoded SubmitBatch frames pushed through
- * LivePhaseService::handleFrame() with obs disabled and enabled,
+ * LivePhaseService::handleFrameInto() with obs disabled and enabled,
  * interleaved trial-by-trial so machine noise hits both sides, best
  * trial kept per side.
  *
@@ -75,14 +75,15 @@ makeStream(uint64_t seed, size_t n)
     return records;
 }
 
-/** One timed run: a fresh service, the same frames, handleFrame on
- *  the calling thread (no queue/future noise). @return seconds. */
+/** One timed run: a fresh service, the same frames, handleFrameInto
+ *  a reused buffer on the calling thread (no queue/future noise).
+ *  @return seconds. */
 double
 timedRun(size_t batches, size_t batch, bool watchdog = false,
          bool profiler = false)
 {
     LivePhaseService::Config cfg;
-    cfg.workers = 0; // handleFrame directly; queue unused
+    cfg.workers = 0; // handleFrameInto directly; queue unused
     cfg.max_batch = std::max(cfg.max_batch, batch);
     if (profiler) {
         cfg.profiler.enabled = true; // defaults: 99 Hz, counters
@@ -104,24 +105,25 @@ timedRun(size_t batches, size_t batch, bool watchdog = false,
     if (profiler)
         profile_guard.emplace("bench");
 
-    const Bytes open_frame = encodeOpenRequest(PredictorKind::Gpht);
-    ParsedResponse open_reply;
-    if (!parseResponse(svc.handleFrame(open_frame), open_reply) ||
+    Bytes open_frame, rx;
+    encodeOpenRequestInto(open_frame, PredictorKind::Gpht);
+    svc.handleFrameInto(open_frame, rx);
+    ResponseView open_reply;
+    if (!parseResponse(rx, open_reply) ||
         open_reply.status != Status::Ok)
         fatal("bench_obs_overhead: open failed");
     const uint64_t sid = open_reply.header.session_id;
 
     const auto stream = makeStream(1, batch);
-    std::vector<Bytes> frames;
-    frames.reserve(batches);
-    for (size_t i = 0; i < batches; ++i)
-        frames.push_back(encodeSubmitRequest(sid, stream));
+    std::vector<Bytes> frames(batches);
+    for (Bytes &frame : frames)
+        encodeSubmitRequestInto(frame, sid, stream);
 
     const auto start = std::chrono::steady_clock::now();
     for (const Bytes &frame : frames) {
-        ParsedResponse reply;
-        if (!parseResponse(svc.handleFrame(frame), reply) ||
-            reply.status != Status::Ok)
+        svc.handleFrameInto(frame, rx);
+        ResponseView reply;
+        if (!parseResponse(rx, reply) || reply.status != Status::Ok)
             fatal("bench_obs_overhead: submit failed");
     }
     const double seconds =

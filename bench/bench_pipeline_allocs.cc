@@ -14,11 +14,7 @@
  * every operator-new hit across N requests and reports
  * allocs-per-request. --check gates that number at exactly zero.
  *
- * The legacy owning path (encodeSubmitRequest -> handleFrame) is
- * measured alongside as the "before" number — informational, not
- * gated, since its cost is whatever the allocator feels like.
- *
- * A third measurement repeats the Into path against a service with
+ * A second measurement repeats the Into path against a service with
  * admission control enabled and a tagged (protocol-v2) frame: the
  * tag peek, the token-bucket decide() and the per-tag accounting
  * all sit on the hot path, and the zero-alloc budget must hold
@@ -215,33 +211,6 @@ measureIntoPath(LivePhaseService &svc, uint64_t sid,
         static_cast<double>(n);
 }
 
-/** Same requests through the legacy owning path (fresh Bytes per
- *  frame) — the "before" number the refactor removes. */
-double
-measureOwningPath(LivePhaseService &svc, uint64_t sid,
-                  const std::vector<IntervalRecord> &records,
-                  size_t warmup, size_t n)
-{
-    const auto once = [&] {
-        const Bytes frame =
-            encodeSubmitRequest(sid, records, TraceField{});
-        const Bytes response = svc.handleFrame(frame);
-        ResponseView view;
-        if (!parseResponse(ByteView(response), view) ||
-            view.status != Status::Ok)
-            fatal("submit failed on the owning path");
-    };
-    for (size_t i = 0; i < warmup; ++i)
-        once();
-    g_allocs.store(0);
-    g_counting.store(true);
-    for (size_t i = 0; i < n; ++i)
-        once();
-    g_counting.store(false);
-    return static_cast<double>(g_allocs.load()) /
-        static_cast<double>(n);
-}
-
 } // namespace
 
 int
@@ -268,8 +237,6 @@ main(int argc, char **argv)
 
     const double into_allocs =
         measureIntoPath(svc, sid, records, warmup, requests);
-    const double owning_allocs =
-        measureOwningPath(svc, sid, records, warmup, requests);
 
     // Tagged variant: same Into path, but the frames carry a
     // protocol-v2 tenant tag and the service runs admission
@@ -298,8 +265,6 @@ main(int argc, char **argv)
                   formatDouble(into_allocs, 4)});
     table.addRow({"handleFrameInto (tagged + admission)",
                   formatDouble(tagged_allocs, 4)});
-    table.addRow({"handleFrame (owning, legacy)",
-                  formatDouble(owning_allocs, 4)});
     table.print(std::cout);
 
     if (args.has("json")) {
@@ -309,9 +274,8 @@ main(int argc, char **argv)
         std::ofstream out(path);
         if (!out)
             fatal("cannot write %s", path.c_str());
-        // allocs_per_request is exact (a count, not a timing), so
-        // it is the gated metric; the owning-path number is
-        // informational context.
+        // Allocation counts are exact (counts, not timings), so
+        // both are gated.
         out << "{\n"
             << "  \"schema\": 1,\n"
             << "  \"bench\": \"bench_pipeline_allocs\",\n"
@@ -322,8 +286,6 @@ main(int argc, char **argv)
             << "    \"allocs_per_request\": " << into_allocs
             << ",\n"
             << "    \"allocs_per_request_tagged\": " << tagged_allocs
-            << ",\n"
-            << "    \"allocs_per_request_owning\": " << owning_allocs
             << "\n"
             << "  },\n"
             << "  \"directions\": {\"allocs_per_request\": "

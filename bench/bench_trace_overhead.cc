@@ -6,7 +6,7 @@
  * thread-local load per instrumented site, so production-style
  * head sampling (1%) must be nearly free end to end. This bench
  * pushes the same SubmitBatch stream through
- * LivePhaseService::handleFrame() three ways — tracing disabled
+ * LivePhaseService::handleFrameInto() three ways — tracing disabled
  * (rate 0), 1% sampled, and fully sampled (rate 1) — with the
  * per-request sampling decision and the wire trace block both on
  * the measured path, exactly as a traced client would produce
@@ -65,11 +65,11 @@ makeStream(uint64_t seed, size_t n)
 
 /**
  * One timed run at the given sample rate: a fresh service, the same
- * frames, handleFrame on the calling thread. Each iteration makes
- * the head-sampling decision and (when sampled) sends the traced
- * frame variant, so the decision cost, the 17 wire bytes, the
- * context adoption and every downstream span recording are all on
- * the clock. @return seconds.
+ * frames, handleFrameInto a reused buffer on the calling thread.
+ * Each iteration makes the head-sampling decision and (when
+ * sampled) sends the traced frame variant, so the decision cost,
+ * the 17 wire bytes, the context adoption and every downstream span
+ * recording are all on the clock. @return seconds.
  */
 double
 timedRun(double rate, size_t batches, size_t batch)
@@ -78,13 +78,15 @@ timedRun(double rate, size_t batches, size_t batch)
     tracer.setSampleRate(rate);
 
     LivePhaseService::Config cfg;
-    cfg.workers = 0; // handleFrame directly; queue unused
+    cfg.workers = 0; // handleFrameInto directly; queue unused
     cfg.max_batch = std::max(cfg.max_batch, batch);
     LivePhaseService svc(cfg);
 
-    const Bytes open_frame = encodeOpenRequest(PredictorKind::Gpht);
-    ParsedResponse open_reply;
-    if (!parseResponse(svc.handleFrame(open_frame), open_reply) ||
+    Bytes open_frame, rx;
+    encodeOpenRequestInto(open_frame, PredictorKind::Gpht);
+    svc.handleFrameInto(open_frame, rx);
+    ResponseView open_reply;
+    if (!parseResponse(rx, open_reply) ||
         open_reply.status != Status::Ok)
         fatal("bench_trace_overhead: open failed");
     const uint64_t sid = open_reply.header.session_id;
@@ -93,18 +95,16 @@ timedRun(double rate, size_t batches, size_t batch)
     // don't change its cost, so one traced encoding stands in for
     // them all and the loop stays allocation-free.
     const auto stream = makeStream(1, batch);
-    const Bytes plain = encodeSubmitRequest(sid, stream);
-    const Bytes traced =
-        encodeSubmitRequest(sid, stream, {0x7ace1du, 0x1u});
+    Bytes plain, traced;
+    encodeSubmitRequestInto(plain, sid, stream);
+    encodeSubmitRequestInto(traced, sid, stream, {0x7ace1du, 0x1u});
 
     const auto start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < batches; ++i) {
         const obs::TraceContext ctx = tracer.startTrace();
-        ParsedResponse reply;
-        if (!parseResponse(
-                svc.handleFrame(ctx.sampled() ? traced : plain),
-                reply) ||
-            reply.status != Status::Ok)
+        svc.handleFrameInto(ctx.sampled() ? traced : plain, rx);
+        ResponseView reply;
+        if (!parseResponse(rx, reply) || reply.status != Status::Ok)
             fatal("bench_trace_overhead: submit failed");
     }
     const double seconds =

@@ -144,8 +144,7 @@ class BufferPool
 
     /**
      * Wrap caller-owned bytes in a lease: the storage joins the
-     * recycle loop when the lease ends. How submit(Bytes) adopts a
-     * legacy owning frame into the lease-moving pipeline.
+     * recycle loop when the lease ends.
      */
     Lease adopt(Buffer &&bytes);
 

@@ -45,19 +45,6 @@ struct ClientCounters
 
 } // namespace
 
-bool
-FrameTransport::roundTripInto(const Bytes &request_frame,
-                              Bytes &response)
-{
-    // Bridge for transports that only implement the owning form:
-    // pay one request copy and adopt the returned storage.
-    Bytes got = roundTrip(request_frame);
-    if (got.empty())
-        return false;
-    response = std::move(got);
-    return true;
-}
-
 const char *
 clientErrorName(ClientError error)
 {

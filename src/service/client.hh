@@ -70,26 +70,19 @@ class FrameTransport
   public:
     virtual ~FrameTransport() = default;
 
-    /** Deliver a request frame; block for the response frame.
-     *  An empty return means the transport itself failed. */
-    virtual Bytes roundTrip(Bytes request_frame) = 0;
-
     /**
-     * Buffer-reusing round trip: deliver `request_frame` (the
-     * transport does not take ownership), decode the response into
-     * `response` — cleared first, capacity reused across calls, so
-     * a client looping on the same rx buffer stops allocating once
-     * warmed up. False means the transport itself failed
-     * (`response` contents are then unspecified). The default
-     * bridges to the owning roundTrip() so custom transports keep
-     * working unchanged; the built-in transports override it with
-     * genuinely copy-free paths.
+     * Deliver `request_frame` (the transport does not take
+     * ownership) and block for the response frame, which lands in
+     * `response`: its old contents are replaced and its capacity
+     * may be reused, so a client looping on the same rx buffer stops
+     * allocating once warmed up. False means the transport itself
+     * failed (`response` contents are then unspecified).
      */
     virtual bool roundTripInto(const Bytes &request_frame,
-                               Bytes &response);
+                               Bytes &response) = 0;
 
     /**
-     * Re-establish the link after a roundTrip failure. The default
+     * Re-establish the link after a failed round trip. The default
      * is a no-op success: an in-process link cannot be *lost*, so
      * the retry loop simply tries again.
      */
@@ -108,11 +101,6 @@ class InProcessTransport : public FrameTransport
     explicit InProcessTransport(LivePhaseService &service)
         : svc(service)
     {
-    }
-
-    Bytes roundTrip(Bytes request_frame) override
-    {
-        return svc.submit(std::move(request_frame)).get();
     }
 
     bool roundTripInto(const Bytes &request_frame,
@@ -146,7 +134,7 @@ class InProcessTransport : public FrameTransport
 enum class ClientError : uint8_t
 {
     None = 0,
-    TransportFailure, ///< roundTrip failed; reconnects exhausted
+    TransportFailure, ///< round trip failed; reconnects exhausted
     DeadlineExceeded, ///< per-request deadline elapsed mid-retry
     CircuitOpen,      ///< breaker open: failed fast, no I/O issued
 };
@@ -199,7 +187,7 @@ class ServiceClient
 {
   public:
     /** Bare one-shot client: no retries, no deadline, no breaker —
-     *  every call is exactly one roundTrip. */
+     *  every call is exactly one roundTripInto(). */
     explicit ServiceClient(FrameTransport &transport)
         : link(transport)
     {
@@ -217,7 +205,7 @@ class ServiceClient
     struct CallInfo
     {
         ClientError error = ClientError::None;
-        size_t attempts = 0;      ///< roundTrips issued
+        size_t attempts = 0;      ///< round trips issued
         size_t retry_after = 0;   ///< RetryAfter responses absorbed
         size_t throttled = 0;     ///< Throttled responses absorbed
         size_t reconnects = 0;    ///< transport re-dials

@@ -75,48 +75,6 @@ IntervalRecord::valid() const
 // --- byte-level helpers ------------------------------------------
 
 void
-ByteWriter::u8(uint8_t v)
-{
-    buf.push_back(v);
-}
-
-void
-ByteWriter::u16(uint16_t v)
-{
-    buf.push_back(static_cast<uint8_t>(v));
-    buf.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void
-ByteWriter::u32(uint32_t v)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        buf.push_back(static_cast<uint8_t>(v >> shift));
-}
-
-void
-ByteWriter::u64(uint64_t v)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        buf.push_back(static_cast<uint8_t>(v >> shift));
-}
-
-void
-ByteWriter::i32(int32_t v)
-{
-    u32(static_cast<uint32_t>(v));
-}
-
-void
-ByteWriter::f64(double v)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void
 ByteAppender::u8(uint8_t v)
 {
     buf.push_back(v);
@@ -329,12 +287,6 @@ peekHeader(const uint8_t *data, size_t size)
     return h;
 }
 
-std::optional<FrameHeader>
-peekHeader(const Bytes &frame)
-{
-    return peekHeader(frame.data(), frame.size());
-}
-
 void
 encodeOpenRequestInto(Bytes &out, PredictorKind kind,
                       const TraceField &trace, TenantTag tag)
@@ -429,78 +381,6 @@ encodeProfileRequestInto(Bytes &out, uint16_t raw_format,
     ByteAppender a(out);
     a.u16(raw_format);
     finishFrame(out);
-}
-
-Bytes
-encodeOpenRequest(PredictorKind kind, const TraceField &trace,
-                  TenantTag tag)
-{
-    Bytes out;
-    encodeOpenRequestInto(out, kind, trace, tag);
-    return out;
-}
-
-Bytes
-encodeSubmitRequest(uint64_t session_id,
-                    const std::vector<IntervalRecord> &records,
-                    const TraceField &trace, TenantTag tag)
-{
-    Bytes out;
-    encodeSubmitRequestInto(out, session_id, records, trace, tag);
-    return out;
-}
-
-Bytes
-encodeStatsRequest(const TraceField &trace, TenantTag tag)
-{
-    Bytes out;
-    encodeStatsRequestInto(out, trace, tag);
-    return out;
-}
-
-Bytes
-encodeCloseRequest(uint64_t session_id, const TraceField &trace,
-                   TenantTag tag)
-{
-    Bytes out;
-    encodeCloseRequestInto(out, session_id, trace, tag);
-    return out;
-}
-
-Bytes
-encodeMetricsRequest(uint16_t raw_format, const TraceField &trace,
-                     TenantTag tag)
-{
-    Bytes out;
-    encodeMetricsRequestInto(out, raw_format, trace, tag);
-    return out;
-}
-
-Bytes
-encodeTracesRequest(uint64_t trace_id_filter, const TraceField &trace,
-                    TenantTag tag)
-{
-    Bytes out;
-    encodeTracesRequestInto(out, trace_id_filter, trace, tag);
-    return out;
-}
-
-Bytes
-encodePhasesRequest(uint64_t session_id, uint16_t raw_format,
-                    const TraceField &trace, TenantTag tag)
-{
-    Bytes out;
-    encodePhasesRequestInto(out, session_id, raw_format, trace, tag);
-    return out;
-}
-
-Bytes
-encodeProfileRequest(uint16_t raw_format, const TraceField &trace,
-                     TenantTag tag)
-{
-    Bytes out;
-    encodeProfileRequestInto(out, raw_format, trace, tag);
-    return out;
 }
 
 Status
@@ -610,23 +490,6 @@ parseRequest(ByteView frame, Arena &scratch, RequestView &out)
     return Status::BadFrame; // unknown op
 }
 
-Status
-parseRequest(const Bytes &bytes, ParsedRequest &out)
-{
-    Arena scratch(4096); // lazily allocated; unused on the alias path
-    RequestView view;
-    const Status status =
-        parseRequest(ByteView(bytes), scratch, view);
-    out.header = view.header;
-    out.trace = view.trace;
-    out.tenant_tag = view.tenant_tag;
-    out.predictor = view.predictor;
-    out.metrics_format = view.metrics_format;
-    out.traces_filter = view.traces_filter;
-    out.records.assign(view.records.begin(), view.records.end());
-    return status;
-}
-
 TenantTag
 peekTenantTag(ByteView frame)
 {
@@ -671,16 +534,6 @@ encodeResponseInto(Bytes &out, uint16_t raw_op, uint64_t session_id,
     a.bytes(body);
 }
 
-Bytes
-encodeResponse(uint16_t raw_op, uint64_t session_id, Status status,
-               const Bytes &body, uint16_t version)
-{
-    Bytes out;
-    encodeResponseInto(out, raw_op, session_id, status, body,
-                       version);
-    return out;
-}
-
 void
 encodeSubmitResponseInto(Bytes &out, uint16_t raw_op,
                          uint64_t session_id,
@@ -710,9 +563,9 @@ encodeSubmitResponseInto(Bytes &out, uint16_t raw_op,
 Bytes
 encodeVersionAdvert()
 {
-    ByteWriter w;
-    w.u16(PROTOCOL_VERSION);
-    return w.take();
+    Bytes out;
+    ByteAppender(out).u16(PROTOCOL_VERSION);
+    return out;
 }
 
 uint16_t
@@ -746,24 +599,10 @@ decodeRetryAfterMs(ByteView body)
 }
 
 Bytes
-encodeSubmitResults(const std::vector<IntervalResult> &results)
-{
-    ByteWriter w;
-    w.u32(static_cast<uint32_t>(results.size()));
-    for (const IntervalResult &res : results) {
-        w.i32(res.phase);
-        w.i32(res.predicted_next);
-        w.u32(res.dvfs_index);
-    }
-    return w.take();
-}
-
-Bytes
 encodeMetricsText(const std::string &text)
 {
-    ByteWriter w;
-    w.u32(static_cast<uint32_t>(text.size()));
-    Bytes out = w.take();
+    Bytes out;
+    ByteAppender(out).u32(static_cast<uint32_t>(text.size()));
     out.insert(out.end(), text.begin(), text.end());
     return out;
 }
@@ -801,18 +640,6 @@ parseResponse(ByteView frame, ResponseView &out)
 }
 
 bool
-parseResponse(const Bytes &bytes, ParsedResponse &out)
-{
-    ResponseView view;
-    if (!parseResponse(ByteView(bytes), view))
-        return false;
-    out.header = view.header;
-    out.status = view.status;
-    out.body.assign(view.body.begin(), view.body.end());
-    return true;
-}
-
-bool
 decodeSubmitResultsInto(ByteView body,
                         std::vector<IntervalResult> &out)
 {
@@ -838,15 +665,6 @@ decodeSubmitResultsInto(ByteView body,
         }
     }
     return true;
-}
-
-std::optional<std::vector<IntervalResult>>
-decodeSubmitResults(ByteView body)
-{
-    std::vector<IntervalResult> results;
-    if (!decodeSubmitResultsInto(body, results))
-        return std::nullopt;
-    return results;
 }
 
 } // namespace livephase::service

@@ -82,10 +82,10 @@
  * below), so the hot-path APIs decode *in place* — parseRequest
  * into a RequestView yields a RecordView aliasing the frame buffer
  * (falling back to one copy into a caller-supplied Arena on
- * big-endian or unaligned frames), and encode*Into APIs append
- * into a caller-reused buffer instead of allocating. The owning
- * ParsedRequest/Bytes APIs remain as thin wrappers for tests and
- * cold paths.
+ * big-endian or unaligned frames), and encode*Into APIs build the
+ * frame in a caller-reused buffer instead of allocating. Each call
+ * has this one form; tests and benches run the same entry points
+ * the service and the client do.
  */
 
 #ifndef LIVEPHASE_SERVICE_PROTOCOL_HH
@@ -277,32 +277,10 @@ using RecordView = std::span<const IntervalRecord>;
 using ResultSpan = std::span<IntervalResult>;
 
 /**
- * Little-endian append-only byte builder used by all encoders.
- */
-class ByteWriter
-{
-  public:
-    void u8(uint8_t v);
-    void u16(uint16_t v);
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void i32(int32_t v);
-    void f64(double v);
-
-    size_t size() const { return buf.size(); }
-
-    /** Move the accumulated bytes out. */
-    Bytes take() { return std::move(buf); }
-
-  private:
-    Bytes buf;
-};
-
-/**
- * Little-endian appender into a caller-owned buffer — the
- * encode-into twin of ByteWriter. Appends (never truncates), so an
- * encoder can build a frame directly inside a pooled/reused buffer
- * with zero intermediate allocations.
+ * Little-endian appender into a caller-owned buffer, used by every
+ * encoder. Appends (never truncates), so an encoder can build a
+ * frame directly inside a pooled/reused buffer with zero
+ * intermediate allocations.
  */
 class ByteAppender
 {
@@ -334,11 +312,6 @@ class ByteReader
   public:
     ByteReader(const uint8_t *data, size_t size)
         : cur(data), left(size)
-    {
-    }
-
-    explicit ByteReader(const Bytes &bytes)
-        : ByteReader(bytes.data(), bytes.size())
     {
     }
 
@@ -376,10 +349,9 @@ class ByteReader
 // matching extension block, both absent (the defaults) emits
 // byte-identical v1 frames.
 //
-// The *Into variants clear `out` and build the frame inside it, so
-// a client looping on a reused buffer encodes with no allocation
-// once the buffer's capacity has warmed up; the owning variants
-// are one-line wrappers kept for tests and one-shot callers.
+// Each encoder clears `out` and builds the frame inside it, so a
+// client looping on a reused buffer encodes with no allocation once
+// the buffer's capacity has warmed up.
 
 void encodeOpenRequestInto(Bytes &out, PredictorKind kind,
                            const TraceField &trace = {},
@@ -413,44 +385,7 @@ void encodeProfileRequestInto(Bytes &out, uint16_t raw_format,
                               const TraceField &trace = {},
                               TenantTag tag = 0);
 
-Bytes encodeOpenRequest(PredictorKind kind,
-                        const TraceField &trace = {},
-                        TenantTag tag = 0);
-Bytes encodeSubmitRequest(uint64_t session_id,
-                          const std::vector<IntervalRecord> &records,
-                          const TraceField &trace = {},
-                          TenantTag tag = 0);
-Bytes encodeStatsRequest(const TraceField &trace = {},
-                         TenantTag tag = 0);
-Bytes encodeCloseRequest(uint64_t session_id,
-                         const TraceField &trace = {},
-                         TenantTag tag = 0);
-Bytes encodeMetricsRequest(uint16_t raw_format,
-                           const TraceField &trace = {},
-                           TenantTag tag = 0);
-Bytes encodeTracesRequest(uint64_t trace_id_filter,
-                          const TraceField &trace = {},
-                          TenantTag tag = 0);
-Bytes encodePhasesRequest(uint64_t session_id, uint16_t raw_format,
-                          const TraceField &trace = {},
-                          TenantTag tag = 0);
-Bytes encodeProfileRequest(uint16_t raw_format,
-                           const TraceField &trace = {},
-                           TenantTag tag = 0);
-
 // --- server-side request parsing ---------------------------------
-
-/** A fully validated request frame (owning decode). */
-struct ParsedRequest
-{
-    FrameHeader header{};
-    TraceField trace{}; ///< v2 trace block (absent => zeros)
-    TenantTag tenant_tag = 0; ///< v2 tag block (absent => untagged)
-    PredictorKind predictor = PredictorKind::LastValue; ///< Open only
-    std::vector<IntervalRecord> records; ///< SubmitBatch only
-    uint16_t metrics_format = 0; ///< QueryMetrics/QueryPhases (raw)
-    uint64_t traces_filter = 0;  ///< QueryTraces only (0 = all)
-};
 
 /**
  * A fully validated request frame decoded *in place*: `records`
@@ -477,7 +412,6 @@ struct RequestView
  * responses can echo op and session id even for frames whose
  * payload is unreadable. nullopt when shorter than a header.
  */
-std::optional<FrameHeader> peekHeader(const Bytes &frame);
 std::optional<FrameHeader> peekHeader(const uint8_t *data, size_t size);
 
 /**
@@ -500,13 +434,6 @@ TenantTag peekTenantTag(ByteView frame);
  */
 Status parseRequest(ByteView frame, Arena &scratch, RequestView &out);
 
-/**
- * Owning decode: validates identically and copies the records into
- * `out.records`. Thin wrapper over the view parse, kept for tests
- * and cold paths.
- */
-Status parseRequest(const Bytes &frame, ParsedRequest &out);
-
 /** Test hook: force the big-endian/unaligned copying decode path
  *  even on hosts where the in-place alias would be legal, so the
  *  fallback is exercised everywhere CI runs. Returns the previous
@@ -521,21 +448,17 @@ bool setForceCopyDecodeForTest(bool on);
  * can still echo what the client sent. `version` should echo the
  * request's revision (clamped into the supported range) so a v1
  * client never receives v2 bytes; the default emits our newest.
- * The Into variant clears `out` and encodes into it.
+ * Clears `out` and encodes into it.
  */
 void encodeResponseInto(Bytes &out, uint16_t raw_op,
                         uint64_t session_id, Status status,
                         ByteView body = {},
                         uint16_t version = PROTOCOL_VERSION);
-Bytes encodeResponse(uint16_t raw_op, uint64_t session_id,
-                     Status status, const Bytes &body = {},
-                     uint16_t version = PROTOCOL_VERSION);
 
 /**
  * Build a complete SubmitBatch OK response (header + status +
  * u32 count + results) in one pass into `out`, bulk-copying the
- * result array on little-endian hosts. The zero-allocation twin of
- * encodeResponse(op, sid, Ok, encodeSubmitResults(results)).
+ * result array on little-endian hosts.
  */
 void encodeSubmitResponseInto(Bytes &out, uint16_t raw_op,
                               uint64_t session_id,
@@ -563,9 +486,6 @@ void encodeRetryAdviceInto(Bytes &out, uint32_t retry_after_ms);
  *  (a pre-QoS server sent an empty rejection body). */
 uint32_t decodeRetryAfterMs(ByteView body);
 
-/** SubmitBatch response body: u32 count + IntervalResults. */
-Bytes encodeSubmitResults(const std::vector<IntervalResult> &results);
-
 /** QueryMetrics response body: u32 length + UTF-8 text. */
 Bytes encodeMetricsText(const std::string &text);
 
@@ -573,14 +493,6 @@ Bytes encodeMetricsText(const std::string &text);
 std::optional<std::string> decodeMetricsText(ByteView body);
 
 // --- client-side response parsing --------------------------------
-
-/** A decoded response frame (owning copy of the body). */
-struct ParsedResponse
-{
-    FrameHeader header{};
-    Status status = Status::BadFrame;
-    Bytes body; ///< op-specific remainder after the status field
-};
 
 /** A response frame decoded in place: `body` aliases the frame
  *  buffer and is valid only while those bytes stay put (until the
@@ -594,11 +506,6 @@ struct ResponseView
 
 /** False when the frame is not a well-formed response. */
 bool parseResponse(ByteView frame, ResponseView &out);
-bool parseResponse(const Bytes &frame, ParsedResponse &out);
-
-/** Decode a SubmitBatch response body; nullopt when malformed. */
-std::optional<std::vector<IntervalResult>>
-decodeSubmitResults(ByteView body);
 
 /** Decode a SubmitBatch response body into a reused vector (its
  *  capacity survives across calls); false when malformed. */

@@ -185,7 +185,7 @@ LivePhaseService::rejectionResponse(ByteView request_frame,
                                        request_frame.size())) {
         raw_op = header->op;
         session_id = header->session_id;
-        version = header->version; // encodeResponse clamps
+        version = header->version; // encodeResponseInto clamps
     }
     Bytes out;
     encodeResponseInto(out, raw_op, session_id, status, body,
@@ -315,13 +315,6 @@ LivePhaseService::submit(BufferPool::Lease request_frame,
     // the storage; on the queued path it travels with the Request.
 }
 
-std::future<Bytes>
-LivePhaseService::submit(Bytes request_frame)
-{
-    return submit(BufferPool::global().adopt(
-        std::move(request_frame)));
-}
-
 void
 LivePhaseService::workerLoop()
 {
@@ -423,14 +416,6 @@ LivePhaseService::serveRequest(Request &req)
     handleFrameInto(ByteView(*req.frame), *response, req.enqueue_ns,
                     /*pre_admitted=*/true);
     req.reply.set_value(response.detach());
-}
-
-Bytes
-LivePhaseService::handleFrame(const Bytes &request_frame)
-{
-    Bytes response;
-    handleFrameInto(ByteView(request_frame), response);
-    return response;
 }
 
 void

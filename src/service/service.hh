@@ -15,10 +15,10 @@
  * *immediately* with Status::RetryAfter (never unbounded buffering,
  * never silent drops) — the client backs off and retries.
  *
- * The synchronous entry point handleFrame() is the same parse +
- * dispatch path minus the queue; transports that already have a
- * thread per connection may call it directly, and the worker pool
- * itself is just a loop around it.
+ * The synchronous entry point handleFrameInto() is the same parse +
+ * dispatch path minus the queue and the future: serveRequest(),
+ * which the workers loop on and the caller-runs path calls once,
+ * is handleFrameInto() into a pooled response buffer.
  *
  * With workers = 0 nothing drains the queue automatically and
  * nothing is served inline; call drainOne() to process requests by
@@ -147,10 +147,6 @@ class LivePhaseService
     std::future<Bytes> submit(BufferPool::Lease request_frame,
                               bool pre_admitted = false);
 
-    /** Owning-frame convenience: adopts the bytes into the global
-     *  pool so the storage joins the recycle loop. */
-    std::future<Bytes> submit(Bytes request_frame);
-
     /**
      * QoS admission preflight on a frame *view*, before the caller
      * pays the queue handoff (lease copy, promise/future). True
@@ -176,9 +172,6 @@ class LivePhaseService
      * malformed input — always produces a response frame.
      */
     void handleFrameInto(ByteView request_frame, Bytes &response);
-
-    /** Owning wrapper over handleFrameInto(). */
-    Bytes handleFrame(const Bytes &request_frame);
 
     /**
      * Process one queued request on the calling thread (workers = 0

@@ -136,7 +136,8 @@ StatsSnapshot::printJson(std::ostream &os) const
 Bytes
 encodeStats(const StatsSnapshot &snap)
 {
-    ByteWriter w;
+    Bytes out;
+    ByteAppender w(out);
     w.u64(snap.sessions_opened);
     w.u64(snap.sessions_closed);
     w.u64(snap.sessions_evicted_lru);
@@ -158,7 +159,7 @@ encodeStats(const StatsSnapshot &snap)
         w.f64(l.p99_us);
         w.f64(l.max_us);
     }
-    return w.take();
+    return out;
 }
 
 std::optional<StatsSnapshot>

@@ -1,5 +1,6 @@
 #include "service/uds_transport.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <optional>
@@ -210,15 +211,23 @@ UdsServer::stop()
     listen_fd = -1;
     ::unlink(sock_path.c_str());
 
-    std::vector<std::thread> threads;
+    std::vector<Connection> live;
     {
         std::lock_guard lock(conns_mu);
-        for (int fd : conn_fds)
-            ::shutdown(fd, SHUT_RDWR);
-        threads.swap(conn_threads);
+        for (const Connection &conn : conns)
+            ::shutdown(conn.fd, SHUT_RDWR);
+        live.swap(conns);
     }
-    for (std::thread &t : threads)
-        t.join();
+    for (Connection &conn : live)
+        conn.thread.join();
+    joinFinished();
+}
+
+size_t
+UdsServer::connectionThreads() const
+{
+    std::lock_guard lock(conns_mu);
+    return conns.size() + finished.size();
 }
 
 void
@@ -231,11 +240,37 @@ UdsServer::acceptLoop()
                 continue;
             break; // listener shut down
         }
+        joinFinished();
         std::lock_guard lock(conns_mu);
-        conn_fds.push_back(fd);
-        conn_threads.emplace_back(
-            [this, fd] { serveConnection(fd); });
+        conns.push_back(
+            {fd, std::thread([this, fd] { serveConnection(fd); })});
     }
+}
+
+void
+UdsServer::forgetConnection(int fd)
+{
+    std::lock_guard lock(conns_mu);
+    // Absent once stop() has taken the list; stop() joins it then.
+    const auto it =
+        std::find_if(conns.begin(), conns.end(),
+                     [fd](const Connection &c) { return c.fd == fd; });
+    if (it == conns.end())
+        return;
+    finished.push_back(std::move(it->thread));
+    conns.erase(it);
+}
+
+void
+UdsServer::joinFinished()
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard lock(conns_mu);
+        done.swap(finished);
+    }
+    for (std::thread &t : done)
+        t.join();
 }
 
 void
@@ -300,8 +335,9 @@ UdsServer::serveConnection(int fd)
             break;
     }
     BufferPool::global().giveBack(std::move(response));
-    tc.closed.inc();
+    forgetConnection(fd);
     ::close(fd);
+    tc.closed.inc();
 }
 
 UdsClientTransport::UdsClientTransport(std::string path)
@@ -344,15 +380,6 @@ bool
 UdsClientTransport::reconnect()
 {
     return connect();
-}
-
-Bytes
-UdsClientTransport::roundTrip(Bytes request_frame)
-{
-    Bytes response;
-    if (!roundTripInto(request_frame, response))
-        return {};
-    return response;
 }
 
 bool

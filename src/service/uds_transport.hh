@@ -60,18 +60,38 @@ class UdsServer
 
     const std::string &path() const { return sock_path; }
 
+    /** Connection threads not yet joined: one per live connection,
+     *  plus any that finished since the last accept (the acceptor
+     *  joins those before it serves the next connection). */
+    size_t connectionThreads() const;
+
   private:
+    /** A live connection: its socket and the thread serving it. */
+    struct Connection
+    {
+        int fd;
+        std::thread thread;
+    };
+
     void acceptLoop();
     void serveConnection(int fd);
+
+    /** Move the calling connection's thread to `finished` and
+     *  forget its fd, so stop() never shuts down a number the
+     *  process may reuse once serveConnection() closes it. */
+    void forgetConnection(int fd);
+
+    /** Join the threads of connections that have finished. */
+    void joinFinished();
 
     LivePhaseService &svc;
     std::string sock_path;
     int listen_fd = -1;
     std::atomic<bool> running{false};
     std::thread acceptor;
-    std::mutex conns_mu;
-    std::vector<std::thread> conn_threads;
-    std::vector<int> conn_fds;
+    mutable std::mutex conns_mu;
+    std::vector<Connection> conns;
+    std::vector<std::thread> finished;
 };
 
 /**
@@ -101,12 +121,10 @@ class UdsClientTransport : public FrameTransport
 
     bool connected() const { return fd >= 0; }
 
-    /** Send one frame, receive one frame. Empty on I/O failure. */
-    Bytes roundTrip(Bytes request_frame) override;
-
-    /** Buffer-reusing round trip: the response lands in `response`
+    /** Send one frame, receive one frame into `response`
      *  (capacity recycled across calls), so a steady-state client
-     *  stops allocating on the socket path. */
+     *  stops allocating on the socket path. False on I/O failure,
+     *  which also drops the connection. */
     bool roundTripInto(const Bytes &request_frame,
                        Bytes &response) override;
 

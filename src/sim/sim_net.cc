@@ -234,11 +234,18 @@ SimTransport::SimTransport(SimNet &net,
 {
 }
 
-service::Bytes
-SimTransport::roundTrip(service::Bytes request_frame)
+bool
+SimTransport::roundTripInto(const service::Bytes &request_frame,
+                            service::Bytes &response)
 {
-    return fabric.transfer(service_ref, node_id, client_id, link_cfg,
-                           rng, request_frame);
+    // A lost leg comes back empty: a transport failure to the client.
+    service::Bytes got = fabric.transfer(service_ref, node_id,
+                                         client_id, link_cfg, rng,
+                                         request_frame);
+    if (got.empty())
+        return false;
+    response = std::move(got);
+    return true;
 }
 
 } // namespace livephase::sim

@@ -4,8 +4,8 @@
  * speak through, plus the per-node link model behind it.
  *
  * A SimTransport looks exactly like any other transport to a
- * ServiceClient — one frame in, one frame out, an empty return on
- * transport failure — but every leg of the round trip is virtual:
+ * ServiceClient — one frame in, one frame out, false on transport
+ * failure — but every leg of the round trip is virtual:
  *
  *  - delay: each leg costs base + uniform-jitter nanoseconds of
  *    virtual time drawn from the link's private seeded Rng stream;
@@ -15,8 +15,8 @@
  *  - drop: each leg is lost with a configured probability, and
  *    unconditionally while the destination node is inside one of its
  *    scripted partition windows; a lost leg costs the client a
- *    virtual timeout and returns empty, driving the client's real
- *    reconnect/retry/backoff/breaker machinery;
+ *    virtual timeout and fails the round trip, driving the
+ *    client's real reconnect/retry/backoff/breaker machinery;
  *  - failpoints: the transport evaluates `sim.net.request`,
  *    `sim.net.response` (Error = drop that leg) and
  *    `sim.net.duplicate` (Error = deliver a SubmitBatch twice — the
@@ -148,7 +148,7 @@ class SimNet
      * One full round trip over a link: request leg (delay or drop),
      * in-queue service via submit + drainOne, canary duplication,
      * response leg (delay or drop). Empty return = transport
-     * failure, exactly the FrameTransport contract.
+     * failure, which SimTransport reports as a false round trip.
      */
     service::Bytes transfer(service::LivePhaseService &svc,
                             uint32_t node, uint32_t client,
@@ -206,7 +206,8 @@ class SimTransport : public service::FrameTransport
                  uint32_t node, uint32_t client,
                  const LinkConfig &link, Rng stream);
 
-    service::Bytes roundTrip(service::Bytes request_frame) override;
+    bool roundTripInto(const service::Bytes &request_frame,
+                       service::Bytes &response) override;
 
   private:
     SimNet &fabric;

@@ -45,6 +45,7 @@
 #include "service/protocol.hh"
 #include "service/service.hh"
 #include "service/uds_transport.hh"
+#include "test_util.hh"
 
 using namespace livephase;
 using namespace livephase::service;
@@ -459,21 +460,22 @@ TEST(Chaos, DesyncedStreamRecoversOnFreshConnection)
 
     // Corrupt the payload_size field (bytes 16..19) so the declared
     // payload exceeds MAX_PAYLOAD_SIZE — an unrecoverable desync.
-    Bytes corrupt = encodeOpenRequest(PredictorKind::Gpht);
+    const Bytes open_frame =
+        ENCODED(encodeOpenRequestInto, PredictorKind::Gpht);
+    Bytes corrupt = open_frame;
     ASSERT_GE(corrupt.size(), FRAME_HEADER_SIZE);
     corrupt[16] = corrupt[17] = corrupt[18] = corrupt[19] = 0xFF;
 
-    const Bytes answer = transport.roundTrip(corrupt);
-    ASSERT_FALSE(answer.empty()) << "server must answer BadFrame";
-    ParsedResponse parsed;
+    Bytes answer;
+    ASSERT_TRUE(transport.roundTripInto(corrupt, answer))
+        << "server must answer BadFrame";
+    ResponseView parsed;
     ASSERT_TRUE(parseResponse(answer, parsed));
     EXPECT_EQ(parsed.status, Status::BadFrame);
 
     // The server dropped the stream: the next round trip on this
     // connection fails at the transport level...
-    const Bytes dead =
-        transport.roundTrip(encodeOpenRequest(PredictorKind::Gpht));
-    EXPECT_TRUE(dead.empty());
+    EXPECT_FALSE(transport.roundTripInto(open_frame, answer));
 
     // ...and a reconnect carries on as if nothing happened.
     ASSERT_TRUE(transport.reconnect());

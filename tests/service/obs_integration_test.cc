@@ -19,6 +19,7 @@
 #include "service/client.hh"
 #include "service/service.hh"
 #include "service/uds_transport.hh"
+#include "test_util.hh"
 
 using namespace livephase;
 using namespace livephase::service;
@@ -215,10 +216,12 @@ TEST(ObsIntegration, MalformedFrameAutoDumpCarriesSpanContext)
     ScopedDumpCapture capture;
     LivePhaseService svc;
 
-    Bytes frame = encodeStatsRequest();
+    Bytes frame = ENCODED(encodeStatsRequestInto);
     frame[0] ^= 0xff; // corrupt magic
-    ParsedResponse resp;
-    ASSERT_TRUE(parseResponse(svc.handleFrame(frame), resp));
+    Bytes rx;
+    svc.handleFrameInto(frame, rx);
+    ResponseView resp;
+    ASSERT_TRUE(parseResponse(rx, resp));
     EXPECT_EQ(resp.status, Status::BadFrame);
 
     const std::string dump = capture.text();
@@ -239,10 +242,12 @@ TEST(ObsIntegration, MalformedFrameDumpCanBeDisabled)
     cfg.dump_trace_on_error = false;
     LivePhaseService svc(cfg);
 
-    Bytes frame = encodeStatsRequest();
+    Bytes frame = ENCODED(encodeStatsRequestInto);
     frame[0] ^= 0xff;
-    ParsedResponse resp;
-    ASSERT_TRUE(parseResponse(svc.handleFrame(frame), resp));
+    Bytes rx;
+    svc.handleFrameInto(frame, rx);
+    ResponseView resp;
+    ASSERT_TRUE(parseResponse(rx, resp));
     EXPECT_EQ(resp.status, Status::BadFrame);
     EXPECT_EQ(capture.text(), "");
 }
@@ -266,9 +271,10 @@ TEST(ObsIntegration, DesyncDumpRedactsPayloadBytes)
     // never surface in any dump.
     const std::string garbage =
         "XSECRETPAYLOADXSECRETPAYLOADXSECRETPAYLOADX";
-    Bytes raw(garbage.begin(), garbage.end());
-    const Bytes response = transport.roundTrip(raw);
-    ParsedResponse resp;
+    const Bytes raw(garbage.begin(), garbage.end());
+    Bytes response;
+    ASSERT_TRUE(transport.roundTripInto(raw, response));
+    ResponseView resp;
     ASSERT_TRUE(parseResponse(response, resp));
     EXPECT_EQ(resp.status, Status::BadFrame);
 

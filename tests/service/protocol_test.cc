@@ -2,6 +2,12 @@
  * @file
  * Wire-protocol unit tests: encode/decode round trips and rejection
  * of every class of malformed frame.
+ *
+ * Every request parse here runs twice, through the in-place decode
+ * and through the forced-copy decode (the big-endian/unaligned
+ * fallback, setForceCopyDecodeForTest), and the two must agree
+ * field for field: the fallback is a real second decoder, so each
+ * round trip is also a differential test.
  */
 
 #include <cmath>
@@ -11,6 +17,7 @@
 
 #include "service/protocol.hh"
 #include "service/service_stats.hh"
+#include "test_util.hh"
 
 using namespace livephase;
 using namespace livephase::service;
@@ -18,13 +25,59 @@ using namespace livephase::service;
 namespace
 {
 
+/** Require two decodes of the same frame to agree field for field,
+ *  records compared bit for bit. */
+void
+expectSameRequest(const RequestView &a, const RequestView &b)
+{
+    EXPECT_EQ(a.header.magic, b.header.magic);
+    EXPECT_EQ(a.header.version, b.header.version);
+    EXPECT_EQ(a.header.op, b.header.op);
+    EXPECT_EQ(a.header.session_id, b.header.session_id);
+    EXPECT_EQ(a.header.payload_size, b.header.payload_size);
+    EXPECT_EQ(a.trace.trace_id, b.trace.trace_id);
+    EXPECT_EQ(a.trace.parent_span_id, b.trace.parent_span_id);
+    EXPECT_EQ(a.tenant_tag, b.tenant_tag);
+    EXPECT_EQ(a.predictor, b.predictor);
+    EXPECT_EQ(a.metrics_format, b.metrics_format);
+    EXPECT_EQ(a.traces_filter, b.traces_filter);
+    ASSERT_EQ(a.records.size(), b.records.size());
+    if (!a.records.empty()) {
+        EXPECT_EQ(std::memcmp(a.records.data(), b.records.data(),
+                              a.records.size_bytes()),
+                  0);
+    }
+}
+
+/**
+ * Parse `frame` in place into `out` (its records may alias `frame`
+ * or `scratch`), parse it again through the forced-copy decoder,
+ * and require both to return the same status and fields.
+ */
+Status
+parseBothWays(ByteView frame, Arena &scratch, RequestView &out)
+{
+    const Status status = parseRequest(frame, scratch, out);
+    Arena copy_scratch;
+    RequestView copied;
+    const bool was = setForceCopyDecodeForTest(true);
+    const Status copy_status =
+        parseRequest(frame, copy_scratch, copied);
+    setForceCopyDecodeForTest(was);
+    EXPECT_EQ(status, copy_status);
+    expectSameRequest(out, copied);
+    return status;
+}
+
 TEST(Protocol, OpenRequestRoundTrip)
 {
-    const Bytes frame = encodeOpenRequest(PredictorKind::Gpht);
+    const Bytes frame =
+        ENCODED(encodeOpenRequestInto, PredictorKind::Gpht);
     ASSERT_EQ(frame.size(), FRAME_HEADER_SIZE + 2);
 
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(frame, req), Status::Ok);
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(frame, scratch, req), Status::Ok);
     EXPECT_EQ(req.header.magic, FRAME_MAGIC);
     // Untraced encodes stay byte-identical to protocol v1 — that is
     // the new-client / old-server interop guarantee.
@@ -38,12 +91,13 @@ TEST(Protocol, SubmitRequestRoundTrip)
 {
     const std::vector<IntervalRecord> records = {
         {100e6, 1.5e6, 111}, {100e6, 0.0, 222}, {50e6, 2e6, 333}};
-    const Bytes frame = encodeSubmitRequest(42, records);
+    const Bytes frame = ENCODED(encodeSubmitRequestInto, 42, records);
     ASSERT_EQ(frame.size(), FRAME_HEADER_SIZE + 4 +
                   records.size() * INTERVAL_RECORD_WIRE_SIZE);
 
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(frame, req), Status::Ok);
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(frame, scratch, req), Status::Ok);
     EXPECT_EQ(static_cast<Op>(req.header.op), Op::SubmitBatch);
     EXPECT_EQ(req.header.session_id, 42u);
     ASSERT_EQ(req.records.size(), records.size());
@@ -57,93 +111,108 @@ TEST(Protocol, SubmitRequestRoundTrip)
 
 TEST(Protocol, StatsAndCloseRequests)
 {
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(encodeStatsRequest(), req), Status::Ok);
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(ENCODED(encodeStatsRequestInto), scratch,
+                            req),
+              Status::Ok);
     EXPECT_EQ(static_cast<Op>(req.header.op), Op::QueryStats);
 
-    ASSERT_EQ(parseRequest(encodeCloseRequest(7), req), Status::Ok);
+    ASSERT_EQ(parseBothWays(ENCODED(encodeCloseRequestInto, 7),
+                            scratch, req),
+              Status::Ok);
     EXPECT_EQ(static_cast<Op>(req.header.op), Op::Close);
     EXPECT_EQ(req.header.session_id, 7u);
 }
 
 TEST(Protocol, RejectsBadMagic)
 {
-    Bytes frame = encodeStatsRequest();
+    Bytes frame = ENCODED(encodeStatsRequestInto);
     frame[0] ^= 0xff;
-    ParsedRequest req;
-    EXPECT_EQ(parseRequest(frame, req), Status::BadFrame);
+    Arena scratch;
+    RequestView req;
+    EXPECT_EQ(parseBothWays(frame, scratch, req), Status::BadFrame);
 }
 
 TEST(Protocol, RejectsBadVersion)
 {
-    Bytes frame = encodeStatsRequest();
+    Bytes frame = ENCODED(encodeStatsRequestInto);
     frame[4] = 0x7f; // version low byte
-    ParsedRequest req;
-    EXPECT_EQ(parseRequest(frame, req), Status::BadFrame);
+    Arena scratch;
+    RequestView req;
+    EXPECT_EQ(parseBothWays(frame, scratch, req), Status::BadFrame);
 }
 
 TEST(Protocol, RejectsUnknownOp)
 {
-    Bytes frame = encodeStatsRequest();
+    Bytes frame = ENCODED(encodeStatsRequestInto);
     frame[6] = 0x63; // op low byte
-    ParsedRequest req;
-    EXPECT_EQ(parseRequest(frame, req), Status::BadFrame);
+    Arena scratch;
+    RequestView req;
+    EXPECT_EQ(parseBothWays(frame, scratch, req), Status::BadFrame);
     // The header still decodes, so error replies can echo the op.
     EXPECT_EQ(req.header.op, 0x63);
 }
 
 TEST(Protocol, RejectsTruncatedFrames)
 {
-    ParsedRequest req;
-    EXPECT_EQ(parseRequest({}, req), Status::BadFrame);
-    EXPECT_EQ(parseRequest(Bytes(FRAME_HEADER_SIZE - 1, 0), req),
+    Arena scratch;
+    RequestView req;
+    EXPECT_EQ(parseBothWays({}, scratch, req), Status::BadFrame);
+    EXPECT_EQ(parseBothWays(Bytes(FRAME_HEADER_SIZE - 1, 0), scratch,
+                            req),
               Status::BadFrame);
 
-    Bytes frame = encodeSubmitRequest(1, {{100e6, 1e6, 0}});
+    Bytes frame = ENCODED(encodeSubmitRequestInto, 1,
+                          std::vector<IntervalRecord>{{100e6, 1e6, 0}});
     frame.pop_back();
-    EXPECT_EQ(parseRequest(frame, req), Status::BadFrame);
+    EXPECT_EQ(parseBothWays(frame, scratch, req), Status::BadFrame);
 }
 
 TEST(Protocol, RejectsRecordCountMismatch)
 {
-    Bytes frame = encodeSubmitRequest(1, {{100e6, 1e6, 0}});
+    Bytes frame = ENCODED(encodeSubmitRequestInto, 1,
+                          std::vector<IntervalRecord>{{100e6, 1e6, 0}});
     // Claim two records but carry one.
     frame[FRAME_HEADER_SIZE] = 2;
-    ParsedRequest req;
-    EXPECT_EQ(parseRequest(frame, req), Status::BadFrame);
+    Arena scratch;
+    RequestView req;
+    EXPECT_EQ(parseBothWays(frame, scratch, req), Status::BadFrame);
 }
 
 TEST(Protocol, RejectsTrailingGarbage)
 {
-    Bytes frame = encodeCloseRequest(1);
+    Bytes frame = ENCODED(encodeCloseRequestInto, 1);
     frame.push_back(0);
-    ParsedRequest req;
+    Arena scratch;
+    RequestView req;
     // Payload length no longer matches the frame size.
-    EXPECT_EQ(parseRequest(frame, req), Status::BadFrame);
+    EXPECT_EQ(parseBothWays(frame, scratch, req), Status::BadFrame);
 }
 
 TEST(Protocol, ResponseRoundTrip)
 {
     const std::vector<IntervalResult> results = {
         {1, 2, 3}, {6, 6, 5}};
-    const Bytes frame =
-        encodeResponse(static_cast<uint16_t>(Op::SubmitBatch), 9,
-                       Status::Ok, encodeSubmitResults(results));
+    const Bytes frame = ENCODED(encodeSubmitResponseInto,
+                                static_cast<uint16_t>(Op::SubmitBatch),
+                                9, results);
 
-    ParsedResponse resp;
+    ResponseView resp;
     ASSERT_TRUE(parseResponse(frame, resp));
     EXPECT_EQ(resp.status, Status::Ok);
     EXPECT_EQ(resp.header.session_id, 9u);
-    const auto decoded = decodeSubmitResults(resp.body);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, results);
+    std::vector<IntervalResult> decoded;
+    ASSERT_TRUE(decodeSubmitResultsInto(resp.body, decoded));
+    EXPECT_EQ(decoded, results);
 }
 
 TEST(Protocol, ErrorResponseRoundTrip)
 {
-    const Bytes frame = encodeResponse(
-        static_cast<uint16_t>(Op::Open), 0, Status::RetryAfter);
-    ParsedResponse resp;
+    const Bytes frame =
+        ENCODED(encodeResponseInto, static_cast<uint16_t>(Op::Open),
+                0, Status::RetryAfter);
+    ResponseView resp;
     ASSERT_TRUE(parseResponse(frame, resp));
     EXPECT_EQ(resp.status, Status::RetryAfter);
     EXPECT_TRUE(resp.body.empty());
@@ -214,14 +283,17 @@ TEST(Protocol, IntervalRecordValidity)
 
 // --- protocol v2: trace blocks and version negotiation -----------
 
+const std::vector<IntervalRecord> ONE_RECORD = {{100e6, 1e6, 11}};
+
 TEST(Protocol, TracedRequestCarriesContextAtVersion2)
 {
     const TraceField trace{0xdeadbeefULL, 0x42ULL};
     const Bytes frame =
-        encodeSubmitRequest(7, {{100e6, 1e6, 11}}, trace);
+        ENCODED(encodeSubmitRequestInto, 7, ONE_RECORD, trace);
 
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(frame, req), Status::Ok);
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(frame, scratch, req), Status::Ok);
     EXPECT_EQ(req.header.version, 2);
     EXPECT_EQ(req.trace.trace_id, 0xdeadbeefULL);
     EXPECT_EQ(req.trace.parent_span_id, 0x42ULL);
@@ -231,28 +303,36 @@ TEST(Protocol, TracedRequestCarriesContextAtVersion2)
 
 TEST(Protocol, TracedFrameIsExactlyOneBlockLarger)
 {
-    const Bytes plain = encodeOpenRequest(PredictorKind::Gpht);
+    const Bytes plain =
+        ENCODED(encodeOpenRequestInto, PredictorKind::Gpht);
     const Bytes traced =
-        encodeOpenRequest(PredictorKind::Gpht, {1, 2});
+        ENCODED(encodeOpenRequestInto, PredictorKind::Gpht, {1, 2});
     EXPECT_EQ(traced.size(),
               plain.size() + 1 + TRACE_FIELD_WIRE_SIZE);
     // Every op's encoder threads the trace through.
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(encodeStatsRequest({5, 6}), req),
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(ENCODED(encodeStatsRequestInto, {5, 6}),
+                            scratch, req),
               Status::Ok);
     EXPECT_EQ(req.trace.trace_id, 5u);
-    ASSERT_EQ(parseRequest(encodeCloseRequest(3, {7, 8}), req),
+    ASSERT_EQ(parseBothWays(ENCODED(encodeCloseRequestInto, 3, {7, 8}),
+                            scratch, req),
               Status::Ok);
     EXPECT_EQ(req.trace.trace_id, 7u);
-    ASSERT_EQ(parseRequest(encodeMetricsRequest(0, {9, 10}), req),
-              Status::Ok);
+    ASSERT_EQ(
+        parseBothWays(ENCODED(encodeMetricsRequestInto, 0, {9, 10}),
+                      scratch, req),
+        Status::Ok);
     EXPECT_EQ(req.trace.trace_id, 9u);
 }
 
 TEST(Protocol, TracesRequestRoundTrip)
 {
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(encodeTracesRequest(0xabcULL), req),
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(ENCODED(encodeTracesRequestInto, 0xabcULL),
+                            scratch, req),
               Status::Ok);
     EXPECT_EQ(static_cast<Op>(req.header.op), Op::QueryTraces);
     EXPECT_EQ(req.traces_filter, 0xabcULL);
@@ -266,7 +346,8 @@ TEST(Protocol, UnknownTraceBlockLengthDegradesToUntraced)
     // than 16 must parse as an *untraced* request, not a protocol
     // error — that is the forward-compat escape hatch. Build the
     // frame by hand: header (v2) + 5-byte trace block + Open body.
-    Bytes traced = encodeOpenRequest(PredictorKind::Gpht, {1, 2});
+    const Bytes traced =
+        ENCODED(encodeOpenRequestInto, PredictorKind::Gpht, {1, 2});
     Bytes frame(traced.begin(), traced.begin() + FRAME_HEADER_SIZE);
     const Bytes tail = {5, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, // block
                         0x02, 0x00};                     // Gpht
@@ -274,8 +355,9 @@ TEST(Protocol, UnknownTraceBlockLengthDegradesToUntraced)
     frame[16] = static_cast<uint8_t>(tail.size()); // payload_size
     frame[17] = frame[18] = frame[19] = 0;
 
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(frame, req), Status::Ok);
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(frame, scratch, req), Status::Ok);
     EXPECT_FALSE(req.trace.present());
     EXPECT_EQ(req.predictor, PredictorKind::Gpht);
 }
@@ -284,15 +366,17 @@ TEST(Protocol, OverrunningTraceBlockIsBadFrame)
 {
     // Block length pointing past the payload can't be skipped — the
     // frame is structurally broken, not merely unrecognized.
-    Bytes traced = encodeOpenRequest(PredictorKind::Gpht, {1, 2});
+    const Bytes traced =
+        ENCODED(encodeOpenRequestInto, PredictorKind::Gpht, {1, 2});
     Bytes frame(traced.begin(), traced.begin() + FRAME_HEADER_SIZE);
     const Bytes tail = {200, 0x02, 0x00};
     frame.insert(frame.end(), tail.begin(), tail.end());
     frame[16] = static_cast<uint8_t>(tail.size());
     frame[17] = frame[18] = frame[19] = 0;
 
-    ParsedRequest req;
-    EXPECT_EQ(parseRequest(frame, req), Status::BadFrame);
+    Arena scratch;
+    RequestView req;
+    EXPECT_EQ(parseBothWays(frame, scratch, req), Status::BadFrame);
 }
 
 TEST(Protocol, GarbledTraceContextBytesStayInBand)
@@ -300,14 +384,16 @@ TEST(Protocol, GarbledTraceContextBytesStayInBand)
     // Fuzz-ish: flip every byte of the 16-byte context in turn; the
     // result is always a *valid* frame (possibly a different trace
     // id, possibly untraced when the id lands on 0) — never a
-    // protocol error, never a crash.
-    const Bytes traced =
-        encodeOpenRequest(PredictorKind::Gpht, {0x1111, 0x2222});
+    // protocol error, never a crash — and the in-place and
+    // forced-copy decoders read it identically.
+    const Bytes traced = ENCODED(encodeOpenRequestInto,
+                                 PredictorKind::Gpht, {0x1111, 0x2222});
     for (size_t i = 0; i < TRACE_FIELD_WIRE_SIZE; ++i) {
         Bytes frame = traced;
         frame[FRAME_HEADER_SIZE + 1 + i] ^= 0xff;
-        ParsedRequest req;
-        EXPECT_EQ(parseRequest(frame, req), Status::Ok)
+        Arena scratch;
+        RequestView req;
+        EXPECT_EQ(parseBothWays(frame, scratch, req), Status::Ok)
             << "flipped context byte " << i;
         EXPECT_EQ(req.predictor, PredictorKind::Gpht);
     }
@@ -318,14 +404,15 @@ TEST(Protocol, GarbledTraceContextBytesStayInBand)
 TEST(Protocol, TaggedRequestRoundTrip)
 {
     // Tag without trace: a 2-byte extension block.
-    const Bytes frame =
-        encodeSubmitRequest(7, {{100e6, 1e6, 11}}, {}, 0xbeef);
-    const Bytes plain = encodeSubmitRequest(7, {{100e6, 1e6, 11}});
+    const Bytes frame = ENCODED(encodeSubmitRequestInto, 7, ONE_RECORD,
+                                {}, 0xbeef);
+    const Bytes plain = ENCODED(encodeSubmitRequestInto, 7, ONE_RECORD);
     EXPECT_EQ(frame.size(),
               plain.size() + 1 + TENANT_TAG_WIRE_SIZE);
 
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(frame, req), Status::Ok);
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(frame, scratch, req), Status::Ok);
     EXPECT_EQ(req.header.version, 2);
     EXPECT_EQ(req.tenant_tag, 0xbeefu);
     EXPECT_FALSE(req.trace.present());
@@ -336,29 +423,32 @@ TEST(Protocol, TaggedRequestRoundTrip)
 TEST(Protocol, TracedAndTaggedRequestRoundTrip)
 {
     // Trace + tag share one 18-byte extension block.
-    const Bytes frame = encodeSubmitRequest(
-        7, {{100e6, 1e6, 11}}, {0xdeadULL, 0x42ULL}, 3);
-    const Bytes plain = encodeSubmitRequest(7, {{100e6, 1e6, 11}});
+    const Bytes frame = ENCODED(encodeSubmitRequestInto, 7, ONE_RECORD,
+                                {0xdeadULL, 0x42ULL}, 3);
+    const Bytes plain = ENCODED(encodeSubmitRequestInto, 7, ONE_RECORD);
     EXPECT_EQ(frame.size(),
               plain.size() + 1 + TRACE_TAG_WIRE_SIZE);
 
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(frame, req), Status::Ok);
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(frame, scratch, req), Status::Ok);
     EXPECT_EQ(req.trace.trace_id, 0xdeadULL);
     EXPECT_EQ(req.trace.parent_span_id, 0x42ULL);
     EXPECT_EQ(req.tenant_tag, 3u);
 
     // Every op's encoder threads the tag through.
-    ASSERT_EQ(parseRequest(encodeStatsRequest({}, 9), req),
+    ASSERT_EQ(parseBothWays(ENCODED(encodeStatsRequestInto, {}, 9),
+                            scratch, req),
               Status::Ok);
     EXPECT_EQ(req.tenant_tag, 9u);
-    ASSERT_EQ(parseRequest(encodeCloseRequest(3, {}, 8), req),
+    ASSERT_EQ(parseBothWays(ENCODED(encodeCloseRequestInto, 3, {}, 8),
+                            scratch, req),
               Status::Ok);
     EXPECT_EQ(req.tenant_tag, 8u);
-    ASSERT_EQ(
-        parseRequest(encodeOpenRequest(PredictorKind::Gpht, {}, 7),
-                     req),
-        Status::Ok);
+    ASSERT_EQ(parseBothWays(ENCODED(encodeOpenRequestInto,
+                                    PredictorKind::Gpht, {}, 7),
+                            scratch, req),
+              Status::Ok);
     EXPECT_EQ(req.tenant_tag, 7u);
 }
 
@@ -367,13 +457,14 @@ TEST(Protocol, UntaggedFramesStayByteIdenticalToV1)
     // The acceptance bar for the extension slot: no tag and no
     // trace means the exact v1 bytes — header, version field, no
     // extension block, payload at FRAME_HEADER_SIZE.
-    const std::vector<IntervalRecord> records = {{100e6, 1e6, 11}};
-    const Bytes frame = encodeSubmitRequest(7, records, {}, 0);
-    EXPECT_EQ(frame, encodeSubmitRequest(7, records));
+    const Bytes frame =
+        ENCODED(encodeSubmitRequestInto, 7, ONE_RECORD, {}, 0);
+    EXPECT_EQ(frame, ENCODED(encodeSubmitRequestInto, 7, ONE_RECORD));
     ASSERT_EQ(frame.size(), FRAME_HEADER_SIZE + 4 +
-                  records.size() * INTERVAL_RECORD_WIRE_SIZE);
-    ParsedRequest req;
-    ASSERT_EQ(parseRequest(frame, req), Status::Ok);
+                  ONE_RECORD.size() * INTERVAL_RECORD_WIRE_SIZE);
+    Arena scratch;
+    RequestView req;
+    ASSERT_EQ(parseBothWays(frame, scratch, req), Status::Ok);
     EXPECT_EQ(req.header.version, PROTOCOL_VERSION_MIN);
     EXPECT_EQ(req.tenant_tag, 0u);
 }
@@ -382,23 +473,24 @@ TEST(Protocol, PeekTenantTagWithoutFullParse)
 {
     // The service peeks the tag pre-parse (admission runs before
     // the frame is queued); every block layout must be readable.
+    const std::vector<IntervalRecord> rec = {{1e6, 0, 0}};
     EXPECT_EQ(peekTenantTag(
-                  encodeSubmitRequest(1, {{1e6, 0, 0}}, {}, 0x1234)),
+                  ENCODED(encodeSubmitRequestInto, 1, rec, {}, 0x1234)),
               0x1234u);
-    EXPECT_EQ(peekTenantTag(encodeSubmitRequest(
-                  1, {{1e6, 0, 0}}, {5, 6}, 0x2345)),
+    EXPECT_EQ(peekTenantTag(ENCODED(encodeSubmitRequestInto, 1, rec,
+                                    {5, 6}, 0x2345)),
               0x2345u);
     // Trace-only, untagged and v1 frames peek as tag 0.
     EXPECT_EQ(peekTenantTag(
-                  encodeSubmitRequest(1, {{1e6, 0, 0}}, {5, 6})),
+                  ENCODED(encodeSubmitRequestInto, 1, rec, {5, 6})),
               0u);
-    EXPECT_EQ(peekTenantTag(encodeSubmitRequest(1, {{1e6, 0, 0}})),
+    EXPECT_EQ(peekTenantTag(ENCODED(encodeSubmitRequestInto, 1, rec)),
               0u);
     // Garbage never makes peek lie or crash.
     EXPECT_EQ(peekTenantTag({}), 0u);
     EXPECT_EQ(peekTenantTag(Bytes(3, 0xff)), 0u);
     Bytes truncated =
-        encodeSubmitRequest(1, {{1e6, 0, 0}}, {}, 0x7777);
+        ENCODED(encodeSubmitRequestInto, 1, rec, {}, 0x7777);
     truncated.resize(FRAME_HEADER_SIZE + 1); // block len, no tag
     EXPECT_EQ(peekTenantTag(truncated), 0u);
 }
@@ -430,15 +522,16 @@ TEST(Protocol, VersionAdvertRoundTrip)
 
 TEST(Protocol, ResponseEchoesRequestedVersion)
 {
-    const Bytes v1 = encodeResponse(
-        static_cast<uint16_t>(Op::Open), 0, Status::Ok, {}, 1);
-    ParsedResponse resp;
+    const uint16_t op = static_cast<uint16_t>(Op::Open);
+    const Bytes v1 =
+        ENCODED(encodeResponseInto, op, 0, Status::Ok, {}, 1);
+    ResponseView resp;
     ASSERT_TRUE(parseResponse(v1, resp));
     EXPECT_EQ(resp.header.version, 1);
 
     // Out-of-range echo requests are clamped, never emitted raw.
-    const Bytes clamped = encodeResponse(
-        static_cast<uint16_t>(Op::Open), 0, Status::Ok, {}, 0x7f);
+    const Bytes clamped =
+        ENCODED(encodeResponseInto, op, 0, Status::Ok, {}, 0x7f);
     ASSERT_TRUE(parseResponse(clamped, resp));
     EXPECT_EQ(resp.header.version, PROTOCOL_VERSION);
 }
@@ -469,7 +562,7 @@ TEST(Protocol, ViewParseAliasesWireBytesWhenAligned)
     if (!WIRE_LAYOUT_IS_NATIVE)
         GTEST_SKIP() << "in-place decode disabled on this target";
     const auto records = someRecords(16);
-    const Bytes frame = encodeSubmitRequest(9, records);
+    const Bytes frame = ENCODED(encodeSubmitRequestInto, 9, records);
     // Untraced v1 frame: records start at header + count = byte 24,
     // 8-aligned relative to the (malloc-aligned) frame base.
     Arena scratch;
@@ -487,7 +580,7 @@ TEST(Protocol, ViewParseAliasesWireBytesWhenAligned)
 TEST(Protocol, ForcedCopyDecodeIsBitIdenticalToInPlace)
 {
     const auto records = someRecords(16);
-    const Bytes frame = encodeSubmitRequest(9, records);
+    const Bytes frame = ENCODED(encodeSubmitRequestInto, 9, records);
 
     const bool was = setForceCopyDecodeForTest(true);
     Arena scratch;
@@ -513,8 +606,8 @@ TEST(Protocol, TracedFrameTakesTheCopyDecodePath)
     // record array is no longer 8-aligned within the frame — the
     // parser must fall back to copying, transparently.
     const auto records = someRecords(8);
-    const Bytes frame =
-        encodeSubmitRequest(9, records, TraceField{0xABCD, 0x1234});
+    const Bytes frame = ENCODED(encodeSubmitRequestInto, 9, records,
+                                TraceField{0xABCD, 0x1234});
     Arena scratch;
     RequestView view;
     ASSERT_EQ(parseRequest(ByteView(frame), scratch, view),
@@ -527,53 +620,104 @@ TEST(Protocol, TracedFrameTakesTheCopyDecodePath)
     EXPECT_EQ(view.trace.trace_id, 0xABCDu);
 }
 
+/** One frame of every op, in each of the four extension-block
+ *  shapes (v1, traced, tagged, traced + tagged). */
+std::vector<Bytes>
+everyRequestShape(const std::vector<IntervalRecord> &records)
+{
+    const TraceField traces[] = {{}, {0xDEAD, 0xBEEF}};
+    const TenantTag tags[] = {0, 0x1234};
+    std::vector<Bytes> frames;
+    for (const TraceField &t : traces) {
+        for (const TenantTag tag : tags) {
+            frames.push_back(ENCODED(encodeOpenRequestInto,
+                                     PredictorKind::Gpht, t, tag));
+            frames.push_back(ENCODED(encodeSubmitRequestInto, 77,
+                                     records, t, tag));
+            frames.push_back(ENCODED(encodeStatsRequestInto, t, tag));
+            frames.push_back(
+                ENCODED(encodeCloseRequestInto, 77, t, tag));
+            frames.push_back(
+                ENCODED(encodeMetricsRequestInto, 1, t, tag));
+            frames.push_back(
+                ENCODED(encodeTracesRequestInto, 9, t, tag));
+            frames.push_back(
+                ENCODED(encodePhasesRequestInto, 77, 1, t, tag));
+            frames.push_back(
+                ENCODED(encodeProfileRequestInto, 1, t, tag));
+        }
+    }
+    return frames;
+}
+
 TEST(Protocol, OwningParseMatchesViewParse)
 {
-    const auto records = someRecords(12);
-    const Bytes frame = encodeSubmitRequest(77, records);
-
-    Arena scratch;
-    RequestView view;
-    ASSERT_EQ(parseRequest(ByteView(frame), scratch, view),
-              Status::Ok);
-    ParsedRequest owned;
-    ASSERT_EQ(parseRequest(frame, owned), Status::Ok);
-
-    EXPECT_EQ(owned.header.session_id, view.header.session_id);
-    ASSERT_EQ(owned.records.size(), view.records.size());
-    EXPECT_EQ(std::memcmp(owned.records.data(), view.records.data(),
-                          owned.records.size() *
-                              sizeof(IntervalRecord)),
-              0);
+    // The in-place view parse against the forced-copy decoder (the
+    // big-endian/unaligned fallback) on every op and block shape:
+    // same status, same fields, bit-identical records.
+    for (const Bytes &frame : everyRequestShape(someRecords(12))) {
+        Arena scratch;
+        RequestView view;
+        EXPECT_EQ(parseBothWays(frame, scratch, view), Status::Ok);
+    }
 }
 
 TEST(Protocol, EncodeIntoMatchesOwningEncodersAndReusesBuffer)
 {
+    // Encoding into a reused buffer that last held a longer frame
+    // must give exactly the bytes of a fresh-buffer encode (no stale
+    // tail), without reallocating.
     const auto records = someRecords(5);
+    const std::vector<Bytes> fresh = everyRequestShape(records);
     Bytes out;
     out.reserve(1024);
     const uint8_t *storage = out.data();
 
-    encodeOpenRequestInto(out, PredictorKind::Gpht, {});
-    EXPECT_EQ(out, encodeOpenRequest(PredictorKind::Gpht));
-    encodeSubmitRequestInto(out, 42, records, {});
-    EXPECT_EQ(out, encodeSubmitRequest(42, records));
-    encodeStatsRequestInto(out);
-    EXPECT_EQ(out, encodeStatsRequest());
-    encodeCloseRequestInto(out, 42);
-    EXPECT_EQ(out, encodeCloseRequest(42));
-    encodeMetricsRequestInto(out, 1);
-    EXPECT_EQ(out, encodeMetricsRequest(1));
-    encodeTracesRequestInto(out, 7);
-    EXPECT_EQ(out, encodeTracesRequest(7));
-
-    // Traced variants too (v2 frames).
-    const TraceField trace{0xDEAD, 0xBEEF};
-    encodeSubmitRequestInto(out, 42, records, trace);
-    EXPECT_EQ(out, encodeSubmitRequest(42, records, trace));
+    const TraceField traces[] = {{}, {0xDEAD, 0xBEEF}};
+    const TenantTag tags[] = {0, 0x1234};
+    size_t at = 0;
+    for (const TraceField &t : traces) {
+        for (const TenantTag tag : tags) {
+            encodeSubmitRequestInto(out, 1, someRecords(20), t, tag);
+            encodeOpenRequestInto(out, PredictorKind::Gpht, t, tag);
+            EXPECT_EQ(out, fresh[at++]);
+            encodeSubmitRequestInto(out, 77, records, t, tag);
+            EXPECT_EQ(out, fresh[at++]);
+            encodeStatsRequestInto(out, t, tag);
+            EXPECT_EQ(out, fresh[at++]);
+            encodeCloseRequestInto(out, 77, t, tag);
+            EXPECT_EQ(out, fresh[at++]);
+            encodeMetricsRequestInto(out, 1, t, tag);
+            EXPECT_EQ(out, fresh[at++]);
+            encodeTracesRequestInto(out, 9, t, tag);
+            EXPECT_EQ(out, fresh[at++]);
+            encodePhasesRequestInto(out, 77, 1, t, tag);
+            EXPECT_EQ(out, fresh[at++]);
+            encodeProfileRequestInto(out, 1, t, tag);
+            EXPECT_EQ(out, fresh[at++]);
+        }
+    }
+    EXPECT_EQ(at, fresh.size());
 
     // Every encode reused the reserved storage: no reallocation.
     EXPECT_EQ(out.data(), storage);
+}
+
+/** Reference SubmitBatch response body — u32 count, then each
+ *  result field by field through ByteAppender — independent of the
+ *  bulk-copy path encodeSubmitResponseInto takes. */
+Bytes
+encodeSubmitResults(const std::vector<IntervalResult> &results)
+{
+    Bytes out;
+    ByteAppender w(out);
+    w.u32(static_cast<uint32_t>(results.size()));
+    for (const IntervalResult &res : results) {
+        w.i32(res.phase);
+        w.i32(res.predicted_next);
+        w.u32(res.dvfs_index);
+    }
+    return out;
 }
 
 TEST(Protocol, SubmitResponseIntoMatchesOwningEncode)
@@ -585,17 +729,16 @@ TEST(Protocol, SubmitResponseIntoMatchesOwningEncode)
     Bytes packed;
     encodeSubmitResponseInto(packed, op, 42, results,
                              PROTOCOL_VERSION);
-    const Bytes owned =
-        encodeResponse(op, 42, Status::Ok,
-                       encodeSubmitResults(results));
-    EXPECT_EQ(packed, owned);
+    const Bytes reference =
+        ENCODED(encodeResponseInto, op, 42, Status::Ok,
+                encodeSubmitResults(results));
+    EXPECT_EQ(packed, reference);
 
     // And it decodes back bit-identically through the Into decoder.
-    ParsedResponse resp;
+    ResponseView resp;
     ASSERT_TRUE(parseResponse(packed, resp));
     std::vector<IntervalResult> decoded;
-    ASSERT_TRUE(decodeSubmitResultsInto(ByteView(resp.body),
-                                        decoded));
+    ASSERT_TRUE(decodeSubmitResultsInto(resp.body, decoded));
     ASSERT_EQ(decoded.size(), results.size());
     EXPECT_EQ(std::memcmp(decoded.data(), results.data(),
                           results.size() * sizeof(IntervalResult)),
@@ -604,20 +747,29 @@ TEST(Protocol, SubmitResponseIntoMatchesOwningEncode)
 
 TEST(Protocol, ViewParseRejectsMalformedFramesLikeOwning)
 {
-    // The validation pass is shared: every rejection the owning
-    // parser makes, the view parser makes too.
+    // The in-place and forced-copy decoders share one validation
+    // pass: every malformed frame below is rejected by both, and
+    // both still decode the header for the error reply.
     const auto records = someRecords(3);
-    Bytes frame = encodeSubmitRequest(9, records);
-    frame.pop_back(); // truncate
-    Arena scratch;
-    RequestView view;
-    EXPECT_EQ(parseRequest(ByteView(frame), scratch, view),
-              Status::BadFrame);
+    const Bytes good = ENCODED(encodeSubmitRequestInto, 9, records);
 
-    Bytes garbage = encodeSubmitRequest(9, records);
-    garbage.push_back(0xFF); // trailing garbage
-    EXPECT_EQ(parseRequest(ByteView(garbage), scratch, view),
-              Status::BadFrame);
+    std::vector<Bytes> bad;
+    bad.push_back(Bytes(good.begin(), good.end() - 1)); // truncated
+    bad.push_back(good);
+    bad.back().push_back(0xFF); // trailing garbage
+    bad.push_back(good);
+    bad.back()[FRAME_HEADER_SIZE] = 4; // record count mismatch
+    bad.push_back(good);
+    bad.back()[0] ^= 0xff; // magic
+    bad.push_back(good);
+    bad.back()[6] = 0x63; // unknown op
+
+    for (const Bytes &frame : bad) {
+        Arena scratch;
+        RequestView view;
+        EXPECT_EQ(parseBothWays(frame, scratch, view),
+                  Status::BadFrame);
+    }
 }
 
 } // namespace

@@ -18,13 +18,20 @@
  * stop()) and the UDS transport.
  */
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,12 +49,32 @@
 #include "service/request_queue.hh"
 #include "service/service.hh"
 #include "service/uds_transport.hh"
+#include "test_util.hh"
 
 using namespace livephase;
 using namespace livephase::service;
 
 namespace
 {
+
+/** Serve `frame` synchronously into `rx` and parse the reply; `resp`
+ *  stays valid while `rx` is unchanged. */
+bool
+serve(LivePhaseService &svc, ByteView frame, Bytes &rx,
+      ResponseView &resp)
+{
+    svc.handleFrameInto(frame, rx);
+    return parseResponse(rx, resp);
+}
+
+/** Submit a QueryStats frame through the leased submit() path. */
+std::future<Bytes>
+submitStats(LivePhaseService &svc)
+{
+    BufferPool::Lease frame = BufferPool::global().lease();
+    encodeStatsRequestInto(*frame);
+    return svc.submit(std::move(frame));
+}
 
 /** Synthesize a session's interval stream: phased Mem/Uop pattern
  *  with per-stream variation, exercising all 6 phases. */
@@ -247,15 +274,16 @@ TEST(Service, QueueFullBackpressure)
     cfg.queue_capacity = 2;
     LivePhaseService svc(cfg);
 
-    auto f1 = svc.submit(encodeStatsRequest());
-    auto f2 = svc.submit(encodeStatsRequest());
-    auto f3 = svc.submit(encodeStatsRequest()); // over capacity
+    auto f1 = submitStats(svc);
+    auto f2 = submitStats(svc);
+    auto f3 = submitStats(svc); // over capacity
 
     // The rejected request resolves immediately with RetryAfter.
     ASSERT_EQ(f3.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
-    ParsedResponse resp;
-    ASSERT_TRUE(parseResponse(f3.get(), resp));
+    const Bytes r3 = f3.get();
+    ResponseView resp;
+    ASSERT_TRUE(parseResponse(r3, resp));
     EXPECT_EQ(resp.status, Status::RetryAfter);
     EXPECT_EQ(static_cast<Op>(resp.header.op), Op::QueryStats);
 
@@ -265,9 +293,11 @@ TEST(Service, QueueFullBackpressure)
     EXPECT_TRUE(svc.drainOne());
     EXPECT_TRUE(svc.drainOne());
     EXPECT_FALSE(svc.drainOne());
-    ASSERT_TRUE(parseResponse(f1.get(), resp));
+    const Bytes r1 = f1.get();
+    ASSERT_TRUE(parseResponse(r1, resp));
     EXPECT_EQ(resp.status, Status::Ok);
-    ASSERT_TRUE(parseResponse(f2.get(), resp));
+    const Bytes r2 = f2.get();
+    ASSERT_TRUE(parseResponse(r2, resp));
     EXPECT_EQ(resp.status, Status::Ok);
 
     const StatsSnapshot snap = svc.stats();
@@ -275,9 +305,10 @@ TEST(Service, QueueFullBackpressure)
     EXPECT_EQ(snap.queue_high_water, 2u);
 
     // Capacity is available again.
-    auto f4 = svc.submit(encodeStatsRequest());
+    auto f4 = submitStats(svc);
     EXPECT_TRUE(svc.drainOne());
-    ASSERT_TRUE(parseResponse(f4.get(), resp));
+    const Bytes r4 = f4.get();
+    ASSERT_TRUE(parseResponse(r4, resp));
     EXPECT_EQ(resp.status, Status::Ok);
 }
 
@@ -286,26 +317,28 @@ TEST(Service, MalformedFramesRejected)
     LivePhaseService svc;
 
     // Garbage bytes.
-    ParsedResponse resp;
-    ASSERT_TRUE(parseResponse(
-        svc.handleFrame(Bytes{0xde, 0xad, 0xbe, 0xef}), resp));
+    Bytes rx;
+    ResponseView resp;
+    ASSERT_TRUE(serve(svc, Bytes{0xde, 0xad, 0xbe, 0xef}, rx, resp));
     EXPECT_EQ(resp.status, Status::BadFrame);
 
     // Valid header, wrong magic.
-    Bytes frame = encodeStatsRequest();
+    Bytes frame = ENCODED(encodeStatsRequestInto);
     frame[0] ^= 0xff;
-    ASSERT_TRUE(parseResponse(svc.handleFrame(frame), resp));
+    ASSERT_TRUE(serve(svc, frame, rx, resp));
     EXPECT_EQ(resp.status, Status::BadFrame);
 
     // Invalid interval record (uops = 0) in a well-formed frame.
-    ASSERT_TRUE(parseResponse(
-        svc.handleFrame(encodeOpenRequest(PredictorKind::LastValue)),
-        resp));
+    ASSERT_TRUE(serve(svc,
+                      ENCODED(encodeOpenRequestInto,
+                              PredictorKind::LastValue),
+                      rx, resp));
     ASSERT_EQ(resp.status, Status::Ok);
     const uint64_t sid = resp.header.session_id;
-    ASSERT_TRUE(parseResponse(
-        svc.handleFrame(encodeSubmitRequest(sid, {{0.0, 1.0, 0}})),
-        resp));
+    const std::vector<IntervalRecord> zero_uops = {{0.0, 1.0, 0}};
+    ASSERT_TRUE(serve(svc,
+                      ENCODED(encodeSubmitRequestInto, sid, zero_uops),
+                      rx, resp));
     EXPECT_EQ(resp.status, Status::BadFrame);
 
     EXPECT_EQ(svc.stats().frames_malformed, 3u);
@@ -314,21 +347,21 @@ TEST(Service, MalformedFramesRejected)
 TEST(Service, UnknownSessionAndPredictor)
 {
     LivePhaseService svc;
-    ParsedResponse resp;
+    Bytes rx;
+    ResponseView resp;
 
-    ASSERT_TRUE(parseResponse(
-        svc.handleFrame(
-            encodeSubmitRequest(12345, {{100e6, 1e6, 0}})),
-        resp));
+    const std::vector<IntervalRecord> one = {{100e6, 1e6, 0}};
+    ASSERT_TRUE(serve(svc, ENCODED(encodeSubmitRequestInto, 12345, one),
+                      rx, resp));
     EXPECT_EQ(resp.status, Status::UnknownSession);
 
-    ASSERT_TRUE(parseResponse(
-        svc.handleFrame(encodeCloseRequest(12345)), resp));
+    ASSERT_TRUE(
+        serve(svc, ENCODED(encodeCloseRequestInto, 12345), rx, resp));
     EXPECT_EQ(resp.status, Status::UnknownSession);
 
-    Bytes open = encodeOpenRequest(PredictorKind::LastValue);
+    Bytes open = ENCODED(encodeOpenRequestInto, PredictorKind::LastValue);
     open[FRAME_HEADER_SIZE] = 99; // unsupported predictor kind
-    ASSERT_TRUE(parseResponse(svc.handleFrame(open), resp));
+    ASSERT_TRUE(serve(svc, open, rx, resp));
     EXPECT_EQ(resp.status, Status::UnknownPredictor);
 }
 
@@ -431,15 +464,16 @@ TEST(Service, QueuedFramesRaiseHighWater)
     cfg.workers = 0; // manual drain: never served inline
     LivePhaseService svc(cfg);
 
-    auto reply = svc.submit(encodeStatsRequest());
+    auto reply = submitStats(svc);
     EXPECT_NE(reply.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     EXPECT_EQ(svc.stats().queue_high_water, 1u);
     EXPECT_TRUE(svc.drainOne());
     ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
-    ParsedResponse resp;
-    ASSERT_TRUE(parseResponse(reply.get(), resp));
+    const Bytes rx = reply.get();
+    ResponseView resp;
+    ASSERT_TRUE(parseResponse(rx, resp));
     EXPECT_EQ(resp.status, Status::Ok);
     EXPECT_EQ(svc.stats().queue_high_water, 1u);
 }
@@ -454,11 +488,12 @@ TEST(Service, IdleSubmitIsServedInline)
     LivePhaseService::Config cfg;
     cfg.workers = 2;
     LivePhaseService svc(cfg);
-    auto reply = svc.submit(encodeStatsRequest());
+    auto reply = submitStats(svc);
     ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
-    ParsedResponse resp;
-    ASSERT_TRUE(parseResponse(reply.get(), resp));
+    const Bytes rx = reply.get();
+    ResponseView resp;
+    ASSERT_TRUE(parseResponse(rx, resp));
     EXPECT_EQ(resp.status, Status::Ok);
     EXPECT_EQ(inline_frames.value() - before, 1u);
     EXPECT_EQ(svc.stats().queue_high_water, 0u);
@@ -528,10 +563,9 @@ TEST(Service, StopRacingSubmittersResolvesEveryFuture)
     for (size_t c = 0; c < CLIENTS; ++c) {
         clients.emplace_back([&] {
             for (;;) {
-                ParsedResponse resp;
-                if (!parseResponse(
-                        svc->submit(encodeStatsRequest()).get(),
-                        resp)) {
+                const Bytes rx = submitStats(*svc).get();
+                ResponseView resp;
+                if (!parseResponse(rx, resp)) {
                     bad.fetch_add(1);
                     return;
                 }
@@ -558,9 +592,9 @@ TEST(Service, ShutdownRefusesNewWork)
 {
     LivePhaseService svc;
     svc.stop();
-    ParsedResponse resp;
-    ASSERT_TRUE(
-        parseResponse(svc.submit(encodeStatsRequest()).get(), resp));
+    const Bytes rx = submitStats(svc).get();
+    ResponseView resp;
+    ASSERT_TRUE(parseResponse(rx, resp));
     EXPECT_EQ(resp.status, Status::ShuttingDown);
 }
 
@@ -662,70 +696,211 @@ TEST(Service, UdsRejectsDesynchronizedStream)
     UdsClientTransport transport(path);
     ASSERT_TRUE(transport.connect());
 
-    Bytes frame = encodeStatsRequest();
+    Bytes frame = ENCODED(encodeStatsRequestInto);
     frame[0] ^= 0xff; // corrupt magic
-    const Bytes response = transport.roundTrip(frame);
-    ParsedResponse resp;
+    Bytes response;
+    ASSERT_TRUE(transport.roundTripInto(frame, response));
+    ResponseView resp;
     ASSERT_TRUE(parseResponse(response, resp));
     EXPECT_EQ(resp.status, Status::BadFrame);
     EXPECT_EQ(svc.stats().frames_malformed, 1u);
 
     // The stream cannot be resynchronized: the server hangs up, so
     // the next round trip fails at the transport.
-    EXPECT_TRUE(transport.roundTrip(encodeStatsRequest()).empty());
+    EXPECT_FALSE(transport.roundTripInto(ENCODED(encodeStatsRequestInto),
+                                         response));
 
+    server.stop();
+}
+
+/** Wait up to 10 s for `counter` to reach `target`. */
+bool
+waitForCount(const obs::Counter &counter, uint64_t target)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (counter.value() < target) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+obs::Counter &
+udsClosedCounter()
+{
+    return obs::MetricsRegistry::global().counter(
+        "livephase_uds_connections_closed_total");
+}
+
+/** The process's open descriptor numbers. */
+std::set<int>
+openFds()
+{
+    std::set<int> fds;
+    DIR *dir = ::opendir("/proc/self/fd");
+    if (!dir)
+        return fds;
+    while (const dirent *entry = ::readdir(dir)) {
+        const int fd = std::atoi(entry->d_name);
+        if (entry->d_name[0] != '.' && fd != ::dirfd(dir))
+            fds.insert(fd);
+    }
+    ::closedir(dir);
+    return fds;
+}
+
+TEST(Service, UdsStopLeavesReusedFdNumbersAlone)
+{
+    // A finished connection's descriptor number is free for reuse;
+    // stop() must not shut down whatever socket took it since.
+    LivePhaseService svc;
+    const std::string path =
+        "/tmp/livephased_fdreuse_" +
+        std::to_string(static_cast<unsigned>(::getpid())) + ".sock";
+    UdsServer server(svc, path);
+    if (!server.start())
+        GTEST_SKIP() << "AF_UNIX unavailable in this environment";
+    obs::Counter &closed = udsClosedCounter();
+    const uint64_t before = closed.value();
+
+    // The server's end of the connection: the new socket bound to
+    // the server's path (the client's own socket is unnamed).
+    const std::set<int> idle = openFds();
+    int server_fd = -1;
+    {
+        UdsClientTransport transport(path);
+        ASSERT_TRUE(transport.connect());
+        Bytes rx;
+        ASSERT_TRUE(transport.roundTripInto(
+            ENCODED(encodeStatsRequestInto), rx));
+        for (const int fd : openFds()) {
+            sockaddr_un addr{};
+            socklen_t len = sizeof(addr);
+            if (!idle.count(fd) &&
+                ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
+                              &len) == 0 &&
+                addr.sun_family == AF_UNIX && path == addr.sun_path)
+                server_fd = fd;
+        }
+    }
+    ASSERT_GE(server_fd, 0);
+    ASSERT_TRUE(waitForCount(closed, before + 1));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (::fcntl(server_fd, F_GETFD) != -1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(::fcntl(server_fd, F_GETFD), -1);
+
+    // Descriptors are allocated lowest first, so a few socket pairs
+    // take the freed number.
+    std::vector<std::array<int, 2>> pairs;
+    bool reused = false;
+    for (int i = 0; i < 64 && !reused; ++i) {
+        int pair[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+        pairs.push_back({pair[0], pair[1]});
+        reused = pair[0] == server_fd || pair[1] == server_fd;
+    }
+    ASSERT_TRUE(reused);
+    server.stop();
+
+    // Every pair still carries bytes both ways.
+    for (const auto &[a, b] : pairs) {
+        const char ping = 'p';
+        char got = 0;
+        EXPECT_EQ(::send(a, &ping, 1, MSG_NOSIGNAL), 1) << "fd " << a;
+        EXPECT_EQ(::recv(b, &got, 1, MSG_DONTWAIT), 1) << "fd " << a;
+        EXPECT_EQ(::send(b, &ping, 1, MSG_NOSIGNAL), 1) << "fd " << a;
+        EXPECT_EQ(::recv(a, &got, 1, MSG_DONTWAIT), 1) << "fd " << a;
+        ::close(a);
+        ::close(b);
+    }
+}
+
+TEST(Service, UdsServerJoinsFinishedConnectionThreads)
+{
+    LivePhaseService svc;
+    const std::string path =
+        "/tmp/livephased_reap_" +
+        std::to_string(static_cast<unsigned>(::getpid())) + ".sock";
+    UdsServer server(svc, path);
+    if (!server.start())
+        GTEST_SKIP() << "AF_UNIX unavailable in this environment";
+    obs::Counter &closed = udsClosedCounter();
+    const uint64_t before = closed.value();
+
+    const Bytes stats = ENCODED(encodeStatsRequestInto);
+    Bytes rx;
+    for (uint64_t i = 1; i <= 64; ++i) {
+        {
+            UdsClientTransport transport(path);
+            ASSERT_TRUE(transport.connect());
+            ASSERT_TRUE(transport.roundTripInto(stats, rx));
+        }
+        ASSERT_TRUE(waitForCount(closed, before + i));
+    }
+    // Accepting one more connection joins every finished thread, so
+    // the server holds exactly the live one.
+    UdsClientTransport transport(path);
+    ASSERT_TRUE(transport.connect());
+    ASSERT_TRUE(transport.roundTripInto(stats, rx));
+    EXPECT_EQ(server.connectionThreads(), 1u);
     server.stop();
 }
 
 TEST(Service, HandleFrameIntoMatchesOwningHandleFrame)
 {
-    // The synchronous span path and the legacy owning path must
-    // produce byte-identical responses for every op and for
-    // malformed input.
+    // The synchronous handleFrameInto() path and the leased submit()
+    // path (through InProcessTransport) must produce byte-identical
+    // responses for every op and for malformed input.
     LivePhaseService svc;
-    Bytes rx;
+    InProcessTransport transport(svc);
+    Bytes rx_sync, rx_submit;
 
     // Deterministic (state-independent) responses must agree
     // byte-for-byte between the two entry points.
     const auto both = [&](const Bytes &frame) {
-        const Bytes owned = svc.handleFrame(frame);
-        svc.handleFrameInto(ByteView(frame), rx);
-        EXPECT_EQ(rx, owned);
+        svc.handleFrameInto(ByteView(frame), rx_sync);
+        ASSERT_TRUE(transport.roundTripInto(frame, rx_submit));
+        EXPECT_EQ(rx_sync, rx_submit);
     };
 
-    ParsedResponse resp;
-    ASSERT_TRUE(parseResponse(
-        svc.handleFrame(encodeOpenRequest(PredictorKind::Gpht)),
-        resp));
+    ResponseView resp;
+    const Bytes open = ENCODED(encodeOpenRequestInto, PredictorKind::Gpht);
+    ASSERT_TRUE(serve(svc, open, rx_sync, resp));
     ASSERT_EQ(resp.status, Status::Ok);
     const uint64_t sid = resp.header.session_id;
 
     // Two sessions fed the same stream stay in lockstep, so the
     // submit responses agree between the two entry points.
-    ASSERT_TRUE(parseResponse(
-        svc.handleFrame(encodeOpenRequest(PredictorKind::Gpht)),
-        resp));
+    ASSERT_TRUE(transport.roundTripInto(open, rx_submit));
+    ASSERT_TRUE(parseResponse(rx_submit, resp));
     const uint64_t sid2 = resp.header.session_id;
     const auto stream = makeStream(7, 64);
+    Bytes tx;
     for (size_t at = 0; at < stream.size(); at += 16) {
-        const std::vector<IntervalRecord> batch(
-            stream.begin() + at, stream.begin() + at + 16);
-        const Bytes owned =
-            svc.handleFrame(encodeSubmitRequest(sid, batch));
-        Bytes tx;
-        encodeSubmitRequestInto(tx, sid2, batch, {});
-        svc.handleFrameInto(ByteView(tx), rx);
-        ParsedResponse a, b;
-        ASSERT_TRUE(parseResponse(owned, a));
-        ASSERT_TRUE(parseResponse(rx, b));
+        const RecordView batch(stream.data() + at, 16);
+        encodeSubmitRequestInto(tx, sid, batch);
+        svc.handleFrameInto(ByteView(tx), rx_sync);
+        encodeSubmitRequestInto(tx, sid2, batch);
+        ASSERT_TRUE(transport.roundTripInto(tx, rx_submit));
+        ResponseView a, b;
+        ASSERT_TRUE(parseResponse(rx_sync, a));
+        ASSERT_TRUE(parseResponse(rx_submit, b));
         EXPECT_EQ(a.status, Status::Ok);
         EXPECT_EQ(b.status, Status::Ok);
-        EXPECT_EQ(a.body, b.body); // identical result arrays
+        // Identical result arrays.
+        EXPECT_TRUE(std::equal(a.body.begin(), a.body.end(),
+                               b.body.begin(), b.body.end()));
     }
 
     both(Bytes{0xde, 0xad, 0xbe, 0xef}); // malformed
-    both(encodeSubmitRequest(999999, {{100e6, 1e6, 0}})); // no session
-    both(encodeCloseRequest(888888)); // close of unknown session
+    const std::vector<IntervalRecord> one = {{100e6, 1e6, 0}};
+    both(ENCODED(encodeSubmitRequestInto, 999999, one)); // no session
+    both(ENCODED(encodeCloseRequestInto, 888888)); // unknown session
 }
 
 TEST(Service, QueueRingWrapsAroundWithoutLosingItems)

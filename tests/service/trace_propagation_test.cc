@@ -20,6 +20,7 @@
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/service.hh"
+#include "test_util.hh"
 
 using namespace livephase;
 using namespace livephase::service;
@@ -169,25 +170,24 @@ TEST(TracePropagation, NoWireContextBeforeNegotiation)
 
 TEST(TracePropagation, ResponseEchoesRequestVersion)
 {
-    LivePhaseService svc; // workers irrelevant: direct handleFrame
+    LivePhaseService svc; // workers irrelevant: direct handleFrameInto
     // v1 (untraced) request -> v1 response.
-    const Bytes v1_resp =
-        svc.handleFrame(encodeStatsRequest());
-    ParsedResponse resp;
-    ASSERT_TRUE(parseResponse(v1_resp, resp));
+    Bytes rx;
+    svc.handleFrameInto(ENCODED(encodeStatsRequestInto), rx);
+    ResponseView resp;
+    ASSERT_TRUE(parseResponse(rx, resp));
     EXPECT_EQ(resp.header.version, PROTOCOL_VERSION_MIN);
 
     // v2 (traced) request -> v2 response.
-    const Bytes v2_resp =
-        svc.handleFrame(encodeStatsRequest({123, 0}));
-    ASSERT_TRUE(parseResponse(v2_resp, resp));
+    svc.handleFrameInto(ENCODED(encodeStatsRequestInto, {123, 0}), rx);
+    ASSERT_TRUE(parseResponse(rx, resp));
     EXPECT_EQ(resp.header.version, PROTOCOL_VERSION);
 
     // Malformed v1 frame -> v1 error response.
-    Bytes bad = encodeStatsRequest();
+    Bytes bad = ENCODED(encodeStatsRequestInto);
     bad[6] = 0x63; // unknown op
-    const Bytes bad_resp = svc.handleFrame(bad);
-    ASSERT_TRUE(parseResponse(bad_resp, resp));
+    svc.handleFrameInto(bad, rx);
+    ASSERT_TRUE(parseResponse(rx, resp));
     EXPECT_EQ(resp.header.version, PROTOCOL_VERSION_MIN);
     EXPECT_EQ(resp.status, Status::BadFrame);
 }
@@ -240,7 +240,8 @@ TEST(TracePropagation, SpanStackHistogramsStillRecord)
     LivePhaseService::Config cfg;
     cfg.workers = 0;
     LivePhaseService svc(cfg);
-    svc.handleFrame(encodeStatsRequest({55, 0}));
+    Bytes rx;
+    svc.handleFrameInto(ENCODED(encodeStatsRequestInto, {55, 0}), rx);
     EXPECT_EQ(hist.snapshot().count, before + 1);
 }
 

@@ -69,4 +69,17 @@ class ScopedFailureCapture
         EXPECT_THROW(statement, ::livephase::test::Failure);          \
     } while (0)
 
+/**
+ * The frame an encode*Into call builds in a fresh buffer, as a
+ * value: ENCODED(encodeCloseRequestInto, 42) is the Close frame for
+ * session 42. The protocol has one form of each encoder (into the
+ * caller's buffer); this is for tests that want a frame inline.
+ */
+#define ENCODED(encode, ...)                                          \
+    ([&] {                                                            \
+        ::livephase::service::Bytes encoded__;                        \
+        encode(encoded__ __VA_OPT__(, ) __VA_ARGS__);                 \
+        return encoded__;                                             \
+    }())
+
 #endif // LIVEPHASE_TESTS_TEST_UTIL_HH
