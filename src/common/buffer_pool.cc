@@ -74,18 +74,6 @@ BufferPool::lease()
     return Lease(this, std::move(buf));
 }
 
-BufferPool::Lease
-BufferPool::adopt(Buffer &&bytes)
-{
-    PoolCounters &pc = PoolCounters::get();
-    {
-        std::lock_guard lock(mu);
-        ++leased;
-        pc.leased_buffers.set(static_cast<double>(leased));
-    }
-    return Lease(this, std::move(bytes));
-}
-
 void
 BufferPool::store(Buffer &&bytes)
 {

@@ -142,12 +142,6 @@ class BufferPool
     /** Lease a cleared buffer (recycled capacity when available). */
     Lease lease();
 
-    /**
-     * Wrap caller-owned bytes in a lease: the storage joins the
-     * recycle loop when the lease ends.
-     */
-    Lease adopt(Buffer &&bytes);
-
     /** Donate storage (e.g. a detach()ed response buffer after the
      *  send completed) to the free list. */
     void giveBack(Buffer &&bytes);

@@ -67,12 +67,7 @@ FlightRecorder::FieldArg::FieldArg(const char *k, double v)
     std::snprintf(value, sizeof(value), "%g", v);
 }
 
-FlightRecorder::FlightRecorder(size_t capacity) : cap(capacity)
-{
-    if (cap == 0)
-        fatal("FlightRecorder: capacity must be > 0");
-    slots = std::make_unique<Slot[]>(cap);
-}
+FlightRecorder::FlightRecorder(size_t capacity) : ring(capacity) {}
 
 FlightRecorder &
 FlightRecorder::global()
@@ -85,49 +80,30 @@ void
 FlightRecorder::record(Severity sev, const char *name,
                        std::initializer_list<FieldArg> fields)
 {
-    const uint64_t seq =
-        cursor.fetch_add(1, std::memory_order_relaxed);
-    Slot &slot = slots[seq % cap];
-
-    slot.version.store(2 * seq + 1, std::memory_order_release);
-    Event &ev = slot.event;
-    ev.seq = seq;
-    ev.t_ns = sinceStartNs();
-    ev.tid = threadId();
-    ev.sev = sev;
-    copyTruncated(ev.name, sizeof(ev.name), name);
-    currentSpanPath(ev.span, sizeof(ev.span));
-    ev.nfields = 0;
-    for (const FieldArg &field : fields) {
-        if (ev.nfields >= MAX_FIELDS)
-            break;
-        std::memcpy(ev.fields[ev.nfields].key, field.key,
-                    sizeof(field.key));
-        std::memcpy(ev.fields[ev.nfields].value, field.value,
-                    sizeof(field.value));
-        ++ev.nfields;
-    }
-    slot.version.store(2 * seq + 2, std::memory_order_release);
+    ring.write([&](Event &ev, uint64_t seq) {
+        ev.seq = seq;
+        ev.t_ns = sinceStartNs();
+        ev.tid = threadId();
+        ev.sev = sev;
+        copyTruncated(ev.name, sizeof(ev.name), name);
+        currentSpanPath(ev.span, sizeof(ev.span));
+        for (const FieldArg &field : fields) {
+            if (ev.nfields >= MAX_FIELDS)
+                break;
+            std::memcpy(ev.fields[ev.nfields].key, field.key,
+                        sizeof(field.key));
+            std::memcpy(ev.fields[ev.nfields].value, field.value,
+                        sizeof(field.value));
+            ++ev.nfields;
+        }
+    });
 }
 
 std::vector<FlightRecorder::Event>
 FlightRecorder::snapshotEvents() const
 {
     std::vector<Event> events;
-    events.reserve(cap);
-    for (size_t i = 0; i < cap; ++i) {
-        const Slot &slot = slots[i];
-        const uint64_t v1 =
-            slot.version.load(std::memory_order_acquire);
-        if (v1 == 0 || v1 % 2 == 1)
-            continue; // never written, or mid-write
-        Event copy = slot.event;
-        const uint64_t v2 =
-            slot.version.load(std::memory_order_acquire);
-        if (v1 != v2)
-            continue; // overwritten while copying
-        events.push_back(copy);
-    }
+    ring.snapshotInto(events);
     std::sort(events.begin(), events.end(),
               [](const Event &a, const Event &b) {
                   return a.seq < b.seq;

@@ -5,13 +5,12 @@
  *
  * The shape follows FoundationDB's trace-event discipline: the hot
  * path appends compact events (severity, monotonic timestamp,
- * thread id, active span path, up to 4 key=value fields) into a
- * preallocated ring with a single fetch_add claim and per-slot
- * seqlock publication — no locks, no allocation, old events simply
- * overwritten. When an error trips (malformed frame, socket
- * desync, eviction storm, panic/fatal), the last N events are
- * dumped in order, giving the *lead-up* to the failure, not just
- * the failure line.
+ * thread id, active span path, up to 4 key=value fields) into one
+ * preallocated SeqlockRing (obs/seqlock_ring.hh) shared by every
+ * thread — no locks, no allocation, old events simply overwritten.
+ * When an error trips (malformed frame, socket desync, eviction
+ * storm, panic/fatal), the last N events are dumped in order, giving
+ * the *lead-up* to the failure, not just the failure line.
  *
  * Auto-dumps are latched once per reason per process so a storm of
  * malformed frames produces one dump, not thousands; tests reset
@@ -30,12 +29,12 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/runtime.hh"
+#include "obs/seqlock_ring.hh"
 
 namespace livephase::obs
 {
@@ -100,8 +99,8 @@ class FlightRecorder
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
 
-    /** Append one event (lock-free, wait-free but for the seqlock
-     *  publication stores). */
+    /** Append one event (lock-free and wait-free; an event whose
+     *  slot a lapped writer still holds is dropped). */
     void record(Severity sev, const char *name,
                 std::initializer_list<FieldArg> fields = {});
 
@@ -143,25 +142,12 @@ class FlightRecorder
     void resetDumpLatches();
 
     /** Events ever recorded (>= capacity() implies wraparound). */
-    uint64_t recorded() const
-    {
-        return cursor.load(std::memory_order_relaxed);
-    }
+    uint64_t recorded() const { return ring.claimed(); }
 
-    size_t capacity() const { return cap; }
+    size_t capacity() const { return ring.capacity(); }
 
   private:
-    struct Slot
-    {
-        /** Seqlock: 2*seq+1 while writing, 2*seq+2 when published,
-         *  0 when never written. */
-        std::atomic<uint64_t> version{0};
-        Event event;
-    };
-
-    size_t cap;
-    std::unique_ptr<Slot[]> slots;
-    std::atomic<uint64_t> cursor{0};
+    SeqlockRing<Event> ring;
 
     struct DumpLatch
     {

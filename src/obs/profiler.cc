@@ -41,10 +41,10 @@
 
 /** The unwinder dereferences frame-pointer guesses inside the
  *  thread's stack bounds; under ASan those reads can land in
- *  redzones of unrelated locals, and under TSan the seqlock's plain
- *  sample fields look racy by design. Both are benign here and the
- *  handler cannot tolerate instrumentation calls, so the capture
- *  path opts out wholesale. */
+ *  redzones of unrelated locals, and under TSan they look like races
+ *  with the interrupted code. Both are benign here, so the capture
+ *  path opts out. The ring write it ends in (SeqlockRing::write) is
+ *  all atomics and stays instrumented. */
 #if defined(__clang__) || defined(__GNUC__)
 #define LIVEPHASE_PROFILER_NOSAN                                     \
     __attribute__((no_sanitize("address", "thread", "undefined")))
@@ -252,7 +252,8 @@ struct Profiler::ThreadState
     Profiler *owner = nullptr;
     uint32_t obs_tid = 0;
     char name[16] = {};
-    std::shared_ptr<Ring> ring;
+    /** Set under `mu` on first arm, before the timer exists. */
+    std::shared_ptr<SeqlockRing<StackSample>> ring;
 
 #if LIVEPHASE_PROFILER_LINUX
     pid_t tid = 0;
@@ -355,28 +356,22 @@ struct ProfilerSignalAccess
     }
 #endif
 
-    /** The one seqlock ring write, shared by the SIGPROF handler
-     *  and recordSampleForTest: odd version, fill the slot, even
-     *  version, publish the cursor. `fill(pc)` writes the stack into
+    /** The one sample write, shared by the SIGPROF handler and
+     *  recordSampleForTest. `fill(pc)` writes the stack into
      *  pc[0, MAX_DEPTH) and returns its depth; it runs inside the
      *  handler, so it must be async-signal-safe and NOSAN too. */
     template <typename Fill>
     LIVEPHASE_PROFILER_NOSAN static void
     publish(Profiler &p, Profiler::ThreadState &state, Fill &&fill)
     {
-        Profiler::Ring &ring = *state.ring;
-        const uint64_t seq =
-            ring.cursor.load(std::memory_order_relaxed);
-        Profiler::Slot &slot = ring.slots[seq % p.ring_slots];
-        slot.version.store(2 * seq + 1, std::memory_order_release);
-        StackSample &rec = slot.sample;
-        rec.t_ns = rawMonotonicNs();
-        rec.tid = state.obs_tid;
-        std::memcpy(rec.thread_name, state.name,
-                    sizeof rec.thread_name);
-        rec.depth = static_cast<uint32_t>(fill(rec.pc));
-        slot.version.store(2 * seq + 2, std::memory_order_release);
-        ring.cursor.store(seq + 1, std::memory_order_release);
+        state.ring->write(
+            [&](StackSample &rec, uint64_t) LIVEPHASE_PROFILER_NOSAN {
+                rec.t_ns = rawMonotonicNs();
+                rec.tid = state.obs_tid;
+                std::memcpy(rec.thread_name, state.name,
+                            sizeof rec.thread_name);
+                rec.depth = static_cast<uint32_t>(fill(rec.pc));
+            });
         p.samples_total.fetch_add(1, std::memory_order_relaxed);
     }
 };
@@ -437,7 +432,7 @@ profilerModeName(ProfilerMode mode)
 }
 
 Profiler::Profiler(size_t slots)
-    : ring_slots(slots == 0 ? 1 : slots)
+    : ring_slots(slots == 0 ? 1 : slots), rings(ring_slots)
 {
 }
 
@@ -542,7 +537,6 @@ Profiler::registerCurrentThread(const char *name)
     state->obs_tid = threadId();
     std::snprintf(state->name, sizeof state->name, "%s",
                   name != nullptr ? name : "thread");
-    state->ring = std::make_shared<Ring>(ring_slots);
 #if LIVEPHASE_PROFILER_LINUX
     state->tid = static_cast<pid_t>(syscall(SYS_gettid));
     if (pthread_getcpuclockid(pthread_self(),
@@ -565,7 +559,6 @@ Profiler::registerCurrentThread(const char *name)
     tlState() = state.get();
     std::lock_guard<std::mutex> lock(mu);
     threads.push_back(state);
-    rings.push_back(state->ring);
     if (is_running.load(std::memory_order_relaxed)) {
         armThread(*state);
     }
@@ -599,6 +592,9 @@ Profiler::armThread(ThreadState &state)
 #if LIVEPHASE_PROFILER_LINUX
     if (state.timer_armed) {
         return true;
+    }
+    if (!state.ring) {
+        state.ring = rings.acquire();
     }
     struct sigevent sev;
     std::memset(&sev, 0, sizeof sev);
@@ -699,33 +695,8 @@ Profiler::openCounters(ThreadState &state)
 std::vector<StackSample>
 Profiler::snapshot() const
 {
-    std::vector<std::shared_ptr<Ring>> copy;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        copy = rings;
-    }
     std::vector<StackSample> out;
-    for (const auto &ring : copy) {
-        const uint64_t written =
-            ring->cursor.load(std::memory_order_acquire);
-        const uint64_t n =
-            std::min<uint64_t>(written, ring_slots);
-        for (uint64_t seq = written - n; seq < written; ++seq) {
-            const Slot &slot = ring->slots[seq % ring_slots];
-            const uint64_t v1 =
-                slot.version.load(std::memory_order_acquire);
-            if (v1 != 2 * seq + 2) {
-                continue; // mid-write or already overwritten
-            }
-            StackSample rec = slot.sample;
-            const uint64_t v2 =
-                slot.version.load(std::memory_order_acquire);
-            if (v1 != v2) {
-                continue;
-            }
-            out.push_back(rec);
-        }
-    }
+    rings.snapshotInto(out);
     std::sort(out.begin(), out.end(),
               [](const StackSample &a, const StackSample &b) {
                   return a.t_ns < b.t_ns;
@@ -814,22 +785,7 @@ Profiler::healthTick()
 void
 Profiler::reset()
 {
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto &ring : rings) {
-        for (size_t i = 0; i < ring_slots; ++i) {
-            ring->slots[i].version.store(
-                0, std::memory_order_relaxed);
-        }
-        ring->cursor.store(0, std::memory_order_relaxed);
-    }
-    /* Retained rings whose threads have exited (sole reference is
-     * ours) have nothing left to say once emptied — drop them so
-     * thread churn does not accumulate rings. */
-    rings.erase(std::remove_if(rings.begin(), rings.end(),
-                               [](const std::shared_ptr<Ring> &r) {
-                                   return r.use_count() == 1;
-                               }),
-                rings.end());
+    rings.clear();
     samples_total.store(0, std::memory_order_relaxed);
     arm_failures.store(0, std::memory_order_relaxed);
 }
@@ -844,6 +800,12 @@ Profiler::recordSampleForTest(const uint64_t *pcs, size_t depth)
          * dies with the profiler. */
         registerCurrentThread("test");
         state = tlState();
+    }
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!state->ring) {
+            state->ring = rings.acquire();
+        }
     }
     ProfilerSignalAccess::publish(
         *this, *state, [&](uint64_t *pc) LIVEPHASE_PROFILER_NOSAN {

@@ -9,10 +9,10 @@
  *     1/hz of *consumed* CPU — idle threads produce no samples,
  *     which is exactly the on-CPU semantic. The handler walks the
  *     frame-pointer chain out of the interrupted context into a
- *     lock-free per-thread ring (seqlock slot publication,
- *     drop-oldest — the flight-recorder/tracer idiom), so capture
- *     is async-signal-safe: no locks, no allocation, only atomics
- *     and bounded stack reads. Symbolization (dladdr + demangle)
+ *     per-thread SeqlockRing (obs/seqlock_ring.hh), allocated when
+ *     the thread is first armed, so capture is async-signal-safe:
+ *     no locks, no allocation, only atomics and bounded stack
+ *     reads. Symbolization (dladdr + demangle)
  *     happens offline at snapshot/render time; export is folded
  *     stacks (flamegraph.pl input) or JSONL.
  *
@@ -54,6 +54,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/seqlock_ring.hh"
 
 namespace livephase::obs
 {
@@ -105,7 +107,7 @@ class Profiler
 {
   public:
     /** Samples retained per thread before drop-oldest. ~400 B per
-     *  slot: 512 slots ≈ 0.2 MB per registered thread. */
+     *  slot: 512 slots ≈ 0.2 MB per armed thread. */
     static constexpr size_t DEFAULT_RING_SLOTS = 512;
 
     explicit Profiler(size_t ring_slots = DEFAULT_RING_SLOTS);
@@ -194,6 +196,9 @@ class Profiler
 
     size_t ringSlots() const { return ring_slots; }
 
+    /** Sample rings: one per thread armed at once, none before. */
+    size_t ringCount() const { return rings.ringCount(); }
+
     struct ThreadState; // opaque; owned via registry below
 
     /** Register the calling thread; prefer the ThreadProfile RAII
@@ -202,24 +207,6 @@ class Profiler
     void unregisterCurrentThread(uint64_t id);
 
   private:
-    struct Slot
-    {
-        /** Seqlock: 2*seq+1 while writing, 2*seq+2 published. */
-        std::atomic<uint64_t> version{0};
-        StackSample sample;
-    };
-
-    struct Ring
-    {
-        explicit Ring(size_t n)
-            : slots(std::make_unique<Slot[]>(n))
-        {
-        }
-
-        std::unique_ptr<Slot[]> slots;
-        std::atomic<uint64_t> cursor{0}; ///< owner thread writes
-    };
-
     friend struct ProfilerSignalAccess;
 
     bool armThread(ThreadState &state);
@@ -236,15 +223,15 @@ class Profiler
 
     mutable std::mutex mu; ///< thread registry + lifecycle
     std::vector<std::shared_ptr<ThreadState>> threads;
-    /** Rings outlive their threads so samples survive thread exit
-     *  (same retention story as the tracer's ring list). */
-    std::vector<std::shared_ptr<Ring>> rings;
+    /** A departed thread's samples stay readable until a thread
+     *  armed later reuses its ring. */
+    ThreadRings<StackSample> rings;
 };
 
 /**
- * RAII thread registration: workers and replay loops place one on
- * their stack; while the profiler is stopped the cost is one
- * registry insert. `name` labels the thread's folded-stack root.
+ * RAII thread registration: workers, connection threads and replay
+ * loops place one on their stack; while the profiler is stopped it
+ * allocates no sample ring. `name` labels the folded-stack root.
  */
 class ThreadProfile
 {

@@ -72,7 +72,7 @@ Tracer::Tracer(size_t n)
           static std::atomic<uint64_t> next{0};
           return next.fetch_add(1, std::memory_order_relaxed) + 1;
       }()),
-      ring_spans(n)
+      ring_spans(n), rings(n)
 {
     if (ring_spans == 0)
         fatal("Tracer: ring_spans must be > 0");
@@ -128,7 +128,7 @@ Tracer::nextSpanId()
     return span_seq.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-Tracer::Ring &
+SeqlockRing<SpanRecord> &
 Tracer::threadRing()
 {
     // One ring per (tracer, thread), cached keyed by tracer_id —
@@ -136,12 +136,12 @@ Tracer::threadRing()
     // and a bare thread_local would hand every later tracer the
     // first tracer's ring. The single-entry fast path keeps the
     // common case (only the global tracer records) at two TLS
-    // loads and a compare; the shared_ptr in the registry keeps a
-    // ring's spans queryable after its thread exits.
+    // loads and a compare. Thread exit drops the cached share, so
+    // a later thread's acquire() reuses the ring.
     struct Entry
     {
         uint64_t id = 0;
-        std::shared_ptr<Ring> ring;
+        std::shared_ptr<SeqlockRing<SpanRecord>> ring;
     };
     thread_local Entry last;
     thread_local std::vector<Entry> others;
@@ -152,61 +152,25 @@ Tracer::threadRing()
             std::swap(e, last);
             return *last.ring;
         }
-    auto ring = std::make_shared<Ring>(ring_spans);
-    {
-        std::lock_guard lock(rings_mu);
-        rings.push_back(ring);
-    }
     if (last.ring)
         others.push_back(std::move(last));
-    last = Entry{tracer_id, std::move(ring)};
+    last = Entry{tracer_id, rings.acquire()};
     return *last.ring;
 }
 
 void
 Tracer::record(const SpanRecord &rec)
 {
-    Ring &ring = threadRing();
-    // Only the owning thread advances its ring cursor, so a plain
-    // load + store pair is race-free; the seqlock protects readers.
-    const uint64_t seq = ring.cursor.load(std::memory_order_relaxed);
-    Slot &slot = ring.slots[seq % ring_spans];
-    slot.version.store(2 * seq + 1, std::memory_order_release);
-    slot.rec = rec;
-    slot.version.store(2 * seq + 2, std::memory_order_release);
-    ring.cursor.store(seq + 1, std::memory_order_release);
+    threadRing().write(
+        [&rec](SpanRecord &out, uint64_t) { out = rec; });
     total_recorded.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord>
 Tracer::snapshotSpans() const
 {
-    std::vector<std::shared_ptr<Ring>> held;
-    {
-        std::lock_guard lock(rings_mu);
-        held = rings;
-    }
     std::vector<SpanRecord> spans;
-    for (const auto &ring : held) {
-        const uint64_t written =
-            ring->cursor.load(std::memory_order_acquire);
-        const size_t n = written < ring_spans
-            ? static_cast<size_t>(written)
-            : ring_spans;
-        for (size_t i = 0; i < n; ++i) {
-            const Slot &slot = ring->slots[i];
-            const uint64_t v1 =
-                slot.version.load(std::memory_order_acquire);
-            if (v1 == 0 || v1 % 2 == 1)
-                continue; // never written, or mid-write
-            SpanRecord copy = slot.rec;
-            const uint64_t v2 =
-                slot.version.load(std::memory_order_acquire);
-            if (v1 != v2)
-                continue; // overwritten while copying
-            spans.push_back(copy);
-        }
-    }
+    rings.snapshotInto(spans);
     std::sort(spans.begin(), spans.end(),
               [](const SpanRecord &a, const SpanRecord &b) {
                   return a.start_ns < b.start_ns;
@@ -229,13 +193,7 @@ Tracer::snapshotTrace(uint64_t trace_id) const
 void
 Tracer::reset()
 {
-    std::lock_guard lock(rings_mu);
-    for (const auto &ring : rings) {
-        for (size_t i = 0; i < ring_spans; ++i)
-            ring->slots[i].version.store(0,
-                                         std::memory_order_relaxed);
-        ring->cursor.store(0, std::memory_order_relaxed);
-    }
+    rings.clear();
 }
 
 void

@@ -19,13 +19,13 @@
  *    so children parent correctly, and ScopedTrace installs a
  *    context received from elsewhere (the wire, a request queue).
  *
- * Completed spans go into fixed-size per-thread rings with seqlock
- * slot publication — the recording thread is the only writer of its
- * ring, so the hot path is store-only: no locks, no allocation, no
- * CAS. Readers (the query-traces op, the CLI) snapshot all rings
- * and skip slots mid-write. Overflow overwrites the oldest span in
- * that ring (drop-oldest; totalRecorded() minus the snapshot size
- * bounds the loss).
+ * Completed spans go into fixed-size per-thread SeqlockRings
+ * (obs/seqlock_ring.hh): no locks, no allocation. A new thread
+ * reuses an exited thread's ring, whose spans stay queryable until
+ * overwritten. Readers (the query-traces op, the CLI) snapshot all
+ * rings and skip slots mid-write. Overflow overwrites the oldest
+ * span in that ring (drop-oldest; totalRecorded() minus the
+ * snapshot size bounds the loss).
  *
  * Cost model: with no active context (unsampled request, or
  * tracing off) a TraceSpan is one thread-local load and a
@@ -39,10 +39,10 @@
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/seqlock_ring.hh"
 
 namespace livephase::obs
 {
@@ -208,26 +208,11 @@ class Tracer
 
     size_t ringSpans() const { return ring_spans; }
 
+    /** Rings: bounded by the recording threads alive at once. */
+    size_t ringCount() const { return rings.ringCount(); }
+
   private:
-    struct Slot
-    {
-        /** Seqlock: 2*seq+1 while writing, 2*seq+2 published. */
-        std::atomic<uint64_t> version{0};
-        SpanRecord rec;
-    };
-
-    struct Ring
-    {
-        explicit Ring(size_t n)
-            : slots(std::make_unique<Slot[]>(n))
-        {
-        }
-
-        std::unique_ptr<Slot[]> slots;
-        std::atomic<uint64_t> cursor{0}; ///< owner thread writes
-    };
-
-    Ring &threadRing();
+    SeqlockRing<SpanRecord> &threadRing();
 
     /** Never reused, so a thread's ring cache can key on it without
      *  aliasing a destroyed tracer (see threadRing()). */
@@ -237,9 +222,7 @@ class Tracer
     std::atomic<uint64_t> trace_seq{0};
     std::atomic<uint64_t> span_seq{0};
     std::atomic<uint64_t> total_recorded{0};
-
-    mutable std::mutex rings_mu; ///< ring list (not ring contents)
-    std::vector<std::shared_ptr<Ring>> rings;
+    ThreadRings<SpanRecord> rings;
 };
 
 /**

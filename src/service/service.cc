@@ -319,7 +319,7 @@ void
 LivePhaseService::workerLoop()
 {
     // Register with the profiling plane for the thread's lifetime;
-    // while the profiler is stopped this is one registry insert.
+    // while the profiler is stopped this allocates no sample ring.
     obs::ThreadProfile profile_guard("worker");
     while (auto req = queue.pop()) {
         in_service.fetch_add(1);

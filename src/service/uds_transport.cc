@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -276,14 +275,8 @@ UdsServer::joinFinished()
 void
 UdsServer::serveConnection(int fd)
 {
-    // Caller-runs submit serves most frames on this thread, so a
-    // profiled daemon samples it like a worker. Registration costs a
-    // ~200 KB sample ring that outlives the thread, so an unprofiled
-    // daemon skips it; a profiled one started its profiler at
-    // construction, before any connection.
-    std::optional<obs::ThreadProfile> profile_guard;
-    if (obs::Profiler::global().running())
-        profile_guard.emplace("uds-conn");
+    // Caller-runs submit serves most frames here: sample it too.
+    obs::ThreadProfile profile_guard("uds-conn");
     TransportCounters &tc = TransportCounters::get();
     tc.accepted.inc();
     // Request frames are pooled leases (submit() takes ownership);

@@ -133,19 +133,6 @@ TEST(BufferPool, DetachAndGiveBackCloseTheLoop)
     EXPECT_EQ(pool.freeCount(), 1u);
 }
 
-TEST(BufferPool, AdoptJoinsCallerBytesToThePool)
-{
-    BufferPool pool;
-    BufferPool::Buffer bytes(128, 0x7F);
-    {
-        auto lease = pool.adopt(std::move(bytes));
-        EXPECT_EQ(pool.leasedCount(), 1u);
-        EXPECT_EQ(lease->size(), 128u); // adopt keeps the contents
-    }
-    EXPECT_EQ(pool.leasedCount(), 0u);
-    EXPECT_EQ(pool.freeCount(), 1u);
-}
-
 TEST(BufferPool, BoundsFreeListSizeAndRetainedCapacity)
 {
     BufferPool pool;

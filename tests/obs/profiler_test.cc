@@ -11,8 +11,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -216,6 +219,64 @@ TEST(Profiler, StartStopIdempotentAndHealthGaugeTracks)
     EXPECT_FALSE(p.running());
     p.healthTick();
     EXPECT_EQ(globalGauge("livephase_profiler_mode"), 0.0);
+}
+
+TEST(Profiler, StoppedProfilerHoldsNoRings)
+{
+    // Registering costs no sample ring while the profiler is stopped;
+    // arming allocates one per thread, and threads registering later
+    // reuse the rings of threads that are gone.
+    Profiler p;
+    constexpr size_t THREADS = 4;
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t registered = 0;
+    bool release = false;
+    auto runThreads = [&] {
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < THREADS; ++t)
+            threads.emplace_back([&] {
+                ThreadProfile guard("idle", p);
+                std::unique_lock lock(mu);
+                ++registered;
+                cv.notify_all();
+                cv.wait(lock, [&] { return release; });
+            });
+        std::unique_lock lock(mu);
+        cv.wait(lock, [&] { return registered == THREADS; });
+        return threads;
+    };
+    auto joinThreads = [&](std::vector<std::thread> &threads) {
+        {
+            std::lock_guard lock(mu);
+            release = true;
+        }
+        cv.notify_all();
+        for (std::thread &t : threads)
+            t.join();
+        registered = 0;
+        release = false;
+    };
+
+    std::vector<std::thread> first = runThreads();
+    EXPECT_EQ(p.ringCount(), 0u) << "registration allocates no ring";
+    ProfilerConfig cfg;
+    cfg.counters = false;
+    const bool armed = p.start(cfg);
+    const size_t after_start = p.ringCount();
+    p.stop();
+    joinThreads(first);
+    if (!armed)
+        GTEST_SKIP() << "per-thread CPU timers unavailable";
+    EXPECT_EQ(after_start, THREADS) << "one ring per armed thread";
+
+    std::vector<std::thread> second = runThreads();
+    EXPECT_TRUE(p.start(cfg));
+    const size_t after_restart = p.ringCount();
+    p.stop();
+    joinThreads(second);
+    EXPECT_EQ(after_restart, THREADS)
+        << "new threads reuse the rings of departed ones";
 }
 
 TEST(Profiler, ModeNamesAreStable)

@@ -252,6 +252,29 @@ TEST(Trace, SnapshotSeesSpansFromJoinedThreads)
     EXPECT_EQ(tracer.snapshotTrace(1).size(), PER_THREAD);
 }
 
+TEST(Trace, ThreadChurnReusesRings)
+{
+    // Threads that come and go one at a time (a daemon's connection
+    // threads) share one ring between them instead of leaking one
+    // each.
+    Tracer tracer(8);
+    constexpr uint64_t THREADS = 64;
+    SpanRecord rec;
+    rec.trace_id = 1;
+    for (uint64_t i = 0; i < THREADS; ++i) {
+        rec.span_id = i + 1;
+        rec.start_ns = i;
+        std::thread([&tracer, rec] { tracer.record(rec); }).join();
+    }
+    EXPECT_LE(tracer.ringCount(), 2u);
+    EXPECT_EQ(tracer.totalRecorded(), THREADS);
+    // A dead thread's span stays queryable until a reusing thread
+    // overwrites it, so the newest spans are all still there.
+    const auto spans = tracer.snapshotSpans();
+    ASSERT_GE(spans.size(), 8u);
+    EXPECT_EQ(spans.back().span_id, THREADS);
+}
+
 TEST(Trace, ChromeTraceJsonShape)
 {
     SpanRecord span;
