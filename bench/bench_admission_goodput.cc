@@ -280,7 +280,7 @@ main(int argc, char **argv)
             // series are process-global, and the previous trial's
             // tail would otherwise sit in the 10 s window and arm
             // the deadline drop before this trial queued anything.
-            auto &ts = obs::TimeSeriesRegistry::global();
+            auto &ts = obs::MetricsRegistry::global();
             ts.rotateIfDue(std::numeric_limits<uint64_t>::max());
             ts.setSlotDuration(1'000'000'000);
         }

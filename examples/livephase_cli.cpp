@@ -762,7 +762,7 @@ void
 renderWatchFrame(std::ostream &os,
                  service::LivePhaseService &svc, uint64_t tick)
 {
-    obs::TimeSeriesRegistry::global().rotateIfDue();
+    obs::MetricsRegistry::global().rotateIfDue();
 
     obs::Watchdog *wd = svc.watchdog();
     const bool degraded = wd && wd->degraded();
@@ -783,7 +783,7 @@ renderWatchFrame(std::ostream &os,
        << formatDouble(phases.pred_10s.rate, 1) << "\n\n";
 
     const obs::TimeSeriesSnapshot windows =
-        obs::TimeSeriesRegistry::global().snapshot();
+        obs::MetricsRegistry::global().windowSnapshot();
     TableWriter table({"series", "rate_1s", "rate_10s", "p50_10s",
                        "p99_10s", "max_10s"});
     bool have_cycles = false;

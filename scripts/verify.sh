@@ -35,7 +35,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # The suites whose bugs are concurrency- or memory-shaped: service,
 # obs, admission (lock-free token buckets + controller thread) and
 # the chaos/fault-injection tests.
-SAN_TARGETS="test_service test_obs test_fault test_chaos test_admission"
+SAN_TARGETS="test_service test_obs test_obs_golden test_fault test_chaos test_admission"
 SAN_FILTER='Obs|FlightRecorder|Metrics|Histogram|Span|Runtime|Service|Session|Protocol|Exposition|Trace|Fault|Chaos|Ratekeeper|TagThrottler|QosSpec|Watchdog|TimeSeries|PhaseTelemetry|FlightDump|Profiler|SeqlockRing'
 
 cmake -B "$BUILD_DIR" -S .

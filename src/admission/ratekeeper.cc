@@ -175,7 +175,7 @@ Ratekeeper::sampleOnce()
     // thread is running (admission-only deployments) — the per-tag
     // windowed p99 below depends on cells closing on time. CAS-
     // guarded, so a concurrent watchdog driver is harmless.
-    obs::TimeSeriesRegistry::global().rotateIfDue();
+    obs::MetricsRegistry::global().rotateIfDue();
 
     if (auto f = FAULT_POINT("admission.sample")) {
         if (f.action == fault::Action::Error) {

@@ -80,7 +80,7 @@ TagThrottler::TagThrottler(const std::vector<TagPolicy> &policies,
         slot.wait_hist = &reg.histogram(
             "livephase_admission_queue_wait_ms" + label);
         slot.wait_window =
-            &obs::TimeSeriesRegistry::global().histogram(
+            &obs::MetricsRegistry::global().windowedHistogram(
                 "admission.queue_wait_ms" + label);
     };
 
@@ -230,7 +230,7 @@ TagThrottler::tickDemand(double dt_s)
     constexpr double DEMAND_ALPHA = 0.3;
     const double slot_seconds =
         static_cast<double>(
-            obs::TimeSeriesRegistry::global().slotDurationNs()) /
+            obs::MetricsRegistry::global().slotDurationNs()) /
         1e9;
     for (size_t i = 0; i < slot_count; ++i) {
         Slot &slot = slots[i];

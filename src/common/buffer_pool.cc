@@ -62,7 +62,7 @@ BufferPool::lease()
             // Windowed twin for the watchdog's pool-exhaustion
             // rate rule — the cumulative counter can't say "now".
             static obs::WindowedCounter &miss_window =
-                obs::TimeSeriesRegistry::global().counter(
+                obs::MetricsRegistry::global().windowedCounter(
                     "service.pool_exhausted");
             miss_window.inc();
         }

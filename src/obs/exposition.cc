@@ -1,12 +1,7 @@
 #include "obs/exposition.hh"
 
-#include "common/clock.hh"
-
 #include <cstdio>
-#include <ostream>
 #include <sstream>
-
-#include "obs/runtime.hh"
 
 namespace livephase::obs
 {
@@ -244,105 +239,6 @@ renderTimeSeriesJsonl(const TimeSeriesSnapshot &snap)
         os << "}\n";
     }
     return os.str();
-}
-
-PeriodicExporter::PeriodicExporter(const MetricsRegistry &registry,
-                                   std::ostream &os,
-                                   std::chrono::milliseconds tick)
-    : reg(registry), out(os), interval(tick)
-{
-    start();
-}
-
-PeriodicExporter::~PeriodicExporter()
-{
-    stop();
-}
-
-void
-PeriodicExporter::start()
-{
-    std::lock_guard lifecycle(lifecycle_mu);
-    if (worker.joinable())
-        return; // already running
-    {
-        std::lock_guard lock(mu);
-        stopping = false;
-    }
-    worker = std::thread([this] { loop(); });
-}
-
-void
-PeriodicExporter::stop()
-{
-    std::lock_guard lifecycle(lifecycle_mu);
-    if (!worker.joinable())
-        return; // never started, or already stopped
-    {
-        std::lock_guard lock(mu);
-        stopping = true;
-    }
-    cv.notify_all();
-    // Join strictly before the final export: once the worker is
-    // gone, this thread is the only writer of `out`, so the final
-    // tick cannot interleave with an in-flight one (the teardown
-    // race this refactor removes).
-    worker.join();
-    worker = std::thread();
-    exportOnce(); // final state, so short runs still export once
-}
-
-bool
-PeriodicExporter::running() const
-{
-    std::lock_guard lifecycle(lifecycle_mu);
-    return worker.joinable();
-}
-
-void
-PeriodicExporter::loop()
-{
-    std::unique_lock lock(mu);
-    while (!stopping) {
-        // Interval arithmetic on the timebase seam (not the cv's
-        // wall clock) so a virtual time source can drive export
-        // cadence; see Watchdog::loop for the same pattern.
-        const uint64_t deadline =
-            timebase::nowNs() +
-            static_cast<uint64_t>(interval.count()) * 1000000ull;
-        while (!stopping) {
-            const uint64_t now = timebase::nowNs();
-            if (now >= deadline)
-                break;
-            const uint64_t remaining = deadline - now;
-            if (timebase::virtualized()) {
-                lock.unlock();
-                timebase::sleepNs(remaining);
-                lock.lock();
-            } else if (cv.wait_for(
-                           lock,
-                           std::chrono::nanoseconds(remaining),
-                           [this] { return stopping; })) {
-                break;
-            }
-        }
-        if (stopping)
-            break;
-        lock.unlock();
-        exportOnce();
-        lock.lock();
-    }
-}
-
-void
-PeriodicExporter::exportOnce()
-{
-    refreshRuntimeMetrics();
-    const uint64_t tick =
-        tick_count.fetch_add(1, std::memory_order_relaxed);
-    out << "# export tick=" << tick << "\n"
-        << renderJsonl(reg.snapshot());
-    out.flush();
 }
 
 } // namespace livephase::obs

@@ -8,25 +8,17 @@
  *    lines plus _sum and _count). Registered names may carry a
  *    label set in braces; the renderer splices extra labels (e.g.
  *    quantile="0.99") into it.
- *  - JSONL: one self-describing JSON object per metric per line —
- *    the format the benches' periodic export hooks append to a
- *    file, one block per export tick.
+ *  - JSONL: one self-describing JSON object per metric per line.
  *
- * PeriodicExporter is the push-side hook: a background thread that
- * renders the registry to a stream every interval, used by the
- * benches to watch metrics evolve during a run.
+ * The service's query-metrics op (LivePhaseService::metricsText) is
+ * the one export path: it refreshes the runtime gauges, then renders
+ * the flat metrics, the windowed series and the phase telemetry.
  */
 
 #ifndef LIVEPHASE_OBS_EXPOSITION_HH
 #define LIVEPHASE_OBS_EXPOSITION_HH
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <iosfwd>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
@@ -60,67 +52,6 @@ std::string renderJsonl(const MetricsSnapshot &snap);
 std::string renderTimeSeriesPrometheus(
     const TimeSeriesSnapshot &snap);
 std::string renderTimeSeriesJsonl(const TimeSeriesSnapshot &snap);
-
-/**
- * Background thread dumping a registry to `os` every `interval`
- * in JSONL, each tick preceded by a `# export tick=N` comment
- * line. Starts on construction; stop() (idempotent, restart-safe
- * via start()) joins the worker *before* issuing the final export,
- * so teardown can never race a concurrent export tick on the
- * stream. The destructor calls stop().
- */
-class PeriodicExporter
-{
-  public:
-    PeriodicExporter(const MetricsRegistry &registry,
-                     std::ostream &os,
-                     std::chrono::milliseconds interval);
-
-    ~PeriodicExporter();
-
-    PeriodicExporter(const PeriodicExporter &) = delete;
-    PeriodicExporter &operator=(const PeriodicExporter &) = delete;
-
-    /** Launch the export thread; no-op while already running. */
-    void start();
-
-    /**
-     * Signal the worker, join it, then write one final export (so
-     * even a zero-interval-elapsed run exports once per cycle).
-     * Idempotent and safe to call concurrently with start()/stop()
-     * from other threads; the lifecycle lock serializes them and
-     * the join-before-final-export ordering keeps the output
-     * stream single-writer.
-     */
-    void stop();
-
-    /** True between start() and stop(). */
-    bool running() const;
-
-    /** Export ticks completed so far. */
-    uint64_t ticks() const
-    {
-        return tick_count.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void loop();
-    void exportOnce();
-
-    const MetricsRegistry &reg;
-    std::ostream &out;
-    const std::chrono::milliseconds interval;
-    std::atomic<uint64_t> tick_count{0};
-
-    /** Serializes start/stop transitions (and owns `worker`);
-     *  never held while exporting. */
-    mutable std::mutex lifecycle_mu;
-    std::thread worker;
-
-    std::mutex mu; ///< guards `stopping` for the cv handshake
-    std::condition_variable cv;
-    bool stopping = false;
-};
 
 } // namespace livephase::obs
 

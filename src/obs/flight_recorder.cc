@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
 #include "common/logging.hh"
@@ -12,17 +11,6 @@
 
 namespace livephase::obs
 {
-
-namespace
-{
-
-void
-copyTruncated(char *dst, size_t dst_size, const char *src)
-{
-    std::snprintf(dst, dst_size, "%s", src ? src : "");
-}
-
-} // namespace
 
 const char *
 severityName(Severity sev)
@@ -35,36 +23,6 @@ severityName(Severity sev)
       case Severity::Fatal: return "FATAL";
     }
     return "SEV?";
-}
-
-FlightRecorder::FieldArg::FieldArg(const char *k, const char *v)
-{
-    copyTruncated(key, sizeof(key), k);
-    copyTruncated(value, sizeof(value), v);
-}
-
-FlightRecorder::FieldArg::FieldArg(const char *k,
-                                   const std::string &v)
-    : FieldArg(k, v.c_str())
-{
-}
-
-FlightRecorder::FieldArg::FieldArg(const char *k, uint64_t v)
-{
-    copyTruncated(key, sizeof(key), k);
-    std::snprintf(value, sizeof(value), "%" PRIu64, v);
-}
-
-FlightRecorder::FieldArg::FieldArg(const char *k, int64_t v)
-{
-    copyTruncated(key, sizeof(key), k);
-    std::snprintf(value, sizeof(value), "%" PRId64, v);
-}
-
-FlightRecorder::FieldArg::FieldArg(const char *k, double v)
-{
-    copyTruncated(key, sizeof(key), k);
-    std::snprintf(value, sizeof(value), "%g", v);
 }
 
 FlightRecorder::FlightRecorder(size_t capacity) : ring(capacity) {}
@@ -90,11 +48,7 @@ FlightRecorder::record(Severity sev, const char *name,
         for (const FieldArg &field : fields) {
             if (ev.nfields >= MAX_FIELDS)
                 break;
-            std::memcpy(ev.fields[ev.nfields].key, field.key,
-                        sizeof(field.key));
-            std::memcpy(ev.fields[ev.nfields].value, field.value,
-                        sizeof(field.value));
-            ++ev.nfields;
+            ev.fields[ev.nfields++] = field;
         }
     });
 }

@@ -56,22 +56,11 @@ class FlightRecorder
   public:
     static constexpr size_t NAME_LEN = 31;
     static constexpr size_t SPAN_LEN = 63;
-    static constexpr size_t KEY_LEN = 15;
     static constexpr size_t VALUE_LEN = 63;
     static constexpr size_t MAX_FIELDS = 4;
 
     /** One key=value attachment, preformatted at the call site. */
-    struct FieldArg
-    {
-        FieldArg(const char *key, const char *value);
-        FieldArg(const char *key, const std::string &value);
-        FieldArg(const char *key, uint64_t value);
-        FieldArg(const char *key, int64_t value);
-        FieldArg(const char *key, double value);
-
-        char key[KEY_LEN + 1] = {};
-        char value[VALUE_LEN + 1] = {};
-    };
+    using FieldArg = KeyValue<VALUE_LEN>;
 
     /** One recorded event as read back out of the ring. */
     struct Event
@@ -83,11 +72,7 @@ class FlightRecorder
         char name[NAME_LEN + 1] = {};
         char span[SPAN_LEN + 1] = {};
         uint8_t nfields = 0;
-        struct
-        {
-            char key[KEY_LEN + 1] = {};
-            char value[VALUE_LEN + 1] = {};
-        } fields[MAX_FIELDS];
+        FieldArg fields[MAX_FIELDS];
     };
 
     /** @param capacity ring slots; fatal() when 0. */

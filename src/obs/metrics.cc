@@ -6,6 +6,8 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "obs/runtime.hh"
+#include "obs/timeseries.hh"
 
 namespace livephase::obs
 {
@@ -140,6 +142,8 @@ metricKindName(MetricKind kind)
       case MetricKind::Counter: return "counter";
       case MetricKind::Gauge: return "gauge";
       case MetricKind::Histogram: return "histogram";
+      case MetricKind::WindowedCounter: return "windowed_counter";
+      case MetricKind::WindowedHistogram: return "windowed_histogram";
     }
     return "kind-?";
 }
@@ -179,6 +183,39 @@ MetricsSnapshot::merge(const MetricsSnapshot &other)
 
 // --- registry ----------------------------------------------------
 
+namespace
+{
+
+/** The metric a registry slot holds when it is an M, else null. */
+template <typename M, typename Slot>
+M *
+as(const Slot &slot)
+{
+    const auto *owner = std::get_if<std::unique_ptr<M>>(&slot);
+    return owner ? owner->get() : nullptr;
+}
+
+/** fn(series) when the slot holds a windowed kind; false when flat.
+ *  Both windowed kinds share rotate/resetForTest/stats. */
+template <typename Slot, typename Fn>
+bool
+visitWindowed(const Slot &slot, Fn &&fn)
+{
+    if (auto *c = as<WindowedCounter>(slot))
+        fn(*c);
+    else if (auto *h = as<WindowedHistogram>(slot))
+        fn(*h);
+    else
+        return false;
+    return true;
+}
+
+} // namespace
+
+MetricsRegistry::MetricsRegistry() = default;
+
+MetricsRegistry::~MetricsRegistry() = default;
+
 MetricsRegistry &
 MetricsRegistry::global()
 {
@@ -186,69 +223,63 @@ MetricsRegistry::global()
     return registry;
 }
 
-MetricsRegistry::Shard &
-MetricsRegistry::shardFor(const std::string &name)
+size_t
+MetricsRegistry::shardIndex(const std::string &name)
 {
-    return shards[std::hash<std::string>{}(name) % SHARDS];
+    return std::hash<std::string>{}(name) % SHARDS;
 }
 
-MetricsRegistry::Entry &
-MetricsRegistry::findOrCreate(const std::string &name,
-                              MetricKind kind)
+template <typename M>
+M &
+MetricsRegistry::findOrCreate(const std::string &name, MetricKind kind)
 {
-    Shard &shard = shardFor(name);
+    Shard &shard = shards[shardIndex(name)];
     std::lock_guard lock(shard.mu);
-    auto [it, inserted] = shard.metrics.try_emplace(name);
-    Entry &entry = it->second;
-    if (inserted) {
-        entry.kind = kind;
-        switch (kind) {
-          case MetricKind::Counter:
-            entry.counter = std::make_unique<Counter>();
-            break;
-          case MetricKind::Gauge:
-            entry.gauge = std::make_unique<Gauge>();
-            break;
-          case MetricKind::Histogram:
-            entry.histogram = std::make_unique<Histogram>();
-            break;
-        }
-    } else if (entry.kind != kind) {
+    auto it = shard.metrics.find(name);
+    if (it == shard.metrics.end())
+        it = shard.metrics.emplace(name, std::make_unique<M>()).first;
+    M *metric = as<M>(it->second);
+    if (metric == nullptr) {
         panic("MetricsRegistry: '%s' registered as %s, requested as "
               "%s",
-              name.c_str(), metricKindName(entry.kind),
+              name.c_str(),
+              metricKindName(
+                  static_cast<MetricKind>(it->second.index())),
               metricKindName(kind));
     }
-    return entry;
+    return *metric;
 }
 
 Counter &
 MetricsRegistry::counter(const std::string &name)
 {
-    return *findOrCreate(name, MetricKind::Counter).counter;
+    return findOrCreate<Counter>(name, MetricKind::Counter);
 }
 
 Gauge &
 MetricsRegistry::gauge(const std::string &name)
 {
-    return *findOrCreate(name, MetricKind::Gauge).gauge;
+    return findOrCreate<Gauge>(name, MetricKind::Gauge);
 }
 
 Histogram &
 MetricsRegistry::histogram(const std::string &name)
 {
-    return *findOrCreate(name, MetricKind::Histogram).histogram;
+    return findOrCreate<Histogram>(name, MetricKind::Histogram);
 }
 
-size_t
-MetricsRegistry::size() const
+WindowedCounter &
+MetricsRegistry::windowedCounter(const std::string &name)
 {
-    size_t total = 0;
-    for (const Shard &shard : shards) {
-        std::lock_guard lock(shard.mu);
-        total += shard.metrics.size();
-    }
-    return total;
+    return findOrCreate<WindowedCounter>(name,
+                                         MetricKind::WindowedCounter);
+}
+
+WindowedHistogram &
+MetricsRegistry::windowedHistogram(const std::string &name)
+{
+    return findOrCreate<WindowedHistogram>(
+        name, MetricKind::WindowedHistogram);
 }
 
 MetricsSnapshot
@@ -257,22 +288,18 @@ MetricsRegistry::snapshot() const
     MetricsSnapshot snap;
     for (const Shard &shard : shards) {
         std::lock_guard lock(shard.mu);
-        for (const auto &[name, entry] : shard.metrics) {
+        for (const auto &[name, slot] : shard.metrics) {
             MetricSample sample;
             sample.name = name;
-            sample.kind = entry.kind;
-            switch (entry.kind) {
-              case MetricKind::Counter:
-                sample.value =
-                    static_cast<double>(entry.counter->value());
-                break;
-              case MetricKind::Gauge:
-                sample.value = entry.gauge->value();
-                break;
-              case MetricKind::Histogram:
-                sample.hist = entry.histogram->snapshot();
-                break;
-            }
+            sample.kind = static_cast<MetricKind>(slot.index());
+            if (const auto *c = as<Counter>(slot))
+                sample.value = static_cast<double>(c->value());
+            else if (const auto *g = as<Gauge>(slot))
+                sample.value = g->value();
+            else if (const auto *h = as<Histogram>(slot))
+                sample.hist = h->snapshot();
+            else
+                continue; // windowed: see windowSnapshot()
             snap.samples.push_back(std::move(sample));
         }
     }
@@ -281,6 +308,116 @@ MetricsRegistry::snapshot() const
                   return a.name < b.name;
               });
     return snap;
+}
+
+TimeSeriesSnapshot
+MetricsRegistry::windowSnapshot() const
+{
+    const double slot_s = static_cast<double>(slotDurationNs()) * 1e-9;
+    TimeSeriesSnapshot snap;
+    for (const Shard &shard : shards) {
+        std::lock_guard lock(shard.mu);
+        for (const auto &[name, slot] : shard.metrics) {
+            SeriesSample s;
+            const bool windowed =
+                visitWindowed(slot, [&](const auto &series) {
+                    s.w1s = series.stats(Window::OneSecond, slot_s);
+                    s.w10s = series.stats(Window::TenSeconds, slot_s);
+                    s.w60s =
+                        series.stats(Window::SixtySeconds, slot_s);
+                });
+            if (!windowed)
+                continue;
+            s.name = name;
+            s.is_histogram = as<WindowedHistogram>(slot) != nullptr;
+            snap.series.push_back(std::move(s));
+        }
+    }
+    std::sort(snap.series.begin(), snap.series.end(),
+              [](const SeriesSample &a, const SeriesSample &b) {
+                  return a.name < b.name;
+              });
+    return snap;
+}
+
+bool
+MetricsRegistry::seriesStats(const std::string &name, Window w,
+                             WindowStats &out) const
+{
+    const double slot_s = static_cast<double>(slotDurationNs()) * 1e-9;
+    const Shard &shard = shards[shardIndex(name)];
+    std::lock_guard lock(shard.mu);
+    const auto it = shard.metrics.find(name);
+    return it != shard.metrics.end() &&
+        visitWindowed(it->second, [&](const auto &series) {
+               out = series.stats(w, slot_s);
+           });
+}
+
+void
+MetricsRegistry::rotateAll()
+{
+    for (Shard &shard : shards) {
+        std::lock_guard lock(shard.mu);
+        for (const auto &[name, slot] : shard.metrics)
+            visitWindowed(slot, [](auto &series) { series.rotate(); });
+    }
+}
+
+size_t
+MetricsRegistry::rotateIfDue(uint64_t now_ns)
+{
+    const uint64_t slot = slot_ns.load(std::memory_order_relaxed);
+    size_t rotations = 0;
+    // Rotate once per elapsed slot boundary, capped at a full ring
+    // revolution: past that, older cells would be recycled anyway,
+    // so extra rotations only waste clears.
+    while (rotations < TS_SLOTS) {
+        uint64_t due = next_rotation_ns.load(
+            std::memory_order_relaxed);
+        if (due == 0) {
+            // First caller anchors the schedule; no rotation yet.
+            next_rotation_ns.compare_exchange_strong(
+                due, now_ns + slot, std::memory_order_relaxed);
+            return rotations;
+        }
+        if (now_ns < due)
+            return rotations;
+        if (!next_rotation_ns.compare_exchange_strong(
+                due, due + slot, std::memory_order_relaxed))
+            continue; // another thread claimed this boundary
+        rotateAll();
+        ++rotations;
+    }
+    return rotations;
+}
+
+size_t
+MetricsRegistry::rotateIfDue()
+{
+    return rotateIfDue(monoNowNs());
+}
+
+void
+MetricsRegistry::setSlotDuration(uint64_t ns)
+{
+    slot_ns.store(std::max<uint64_t>(ns, 1000),
+                  std::memory_order_relaxed);
+    // Re-anchor so the next caller schedules off the new duration
+    // instead of draining boundaries computed from the old one.
+    next_rotation_ns.store(0, std::memory_order_relaxed);
+}
+
+void
+MetricsRegistry::resetWindowsForTest()
+{
+    for (Shard &shard : shards) {
+        std::lock_guard lock(shard.mu);
+        for (const auto &[name, slot] : shard.metrics)
+            visitWindowed(slot,
+                          [](auto &series) { series.resetForTest(); });
+    }
+    next_rotation_ns.store(0, std::memory_order_relaxed);
 }
 
 } // namespace livephase::obs

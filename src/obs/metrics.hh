@@ -2,7 +2,7 @@
  * @file
  * Sharded, low-contention metrics registry.
  *
- * Three metric kinds, all updatable lock-free from any thread:
+ * Five metric kinds, all updatable lock-free from any thread:
  *
  *  - Counter:   monotonically increasing u64 (events, intervals).
  *  - Gauge:     last-written double (queue depth, open sessions).
@@ -12,6 +12,10 @@
  *               of two, so a quantile read off the buckets carries
  *               a bounded relative error of at most
  *               1/LOG_SUBBUCKETS = 12.5%).
+ *  - WindowedCounter / WindowedHistogram: rings of one-second cells
+ *               read over 1 s / 10 s / 60 s sliding windows
+ *               (obs/timeseries.hh). The registry owns their
+ *               rotation schedule.
  *
  * Metric objects live as long as the registry and are handed out by
  * reference: look one up once (e.g. into a function-local static),
@@ -23,9 +27,11 @@
  * Names follow the scheme documented in DESIGN.md §11:
  * `livephase_<layer>_<what>[_<unit>][_total]`, with an optional
  * trailing Prometheus label set baked into the registered name
- * (e.g. `livephase_service_op_latency_us{op="open"}`).
+ * (e.g. `livephase_service_op_latency_us{op="open"}`). Windowed
+ * series use dotted names (`service.queue_wait_ms`, DESIGN.md §16).
  *
- * snapshot() produces an immutable, mergeable copy; rendering to
+ * snapshot() produces an immutable, mergeable copy of the flat kinds
+ * and windowSnapshot() a read of every windowed series; rendering to
  * Prometheus text or JSONL lives in obs/exposition.hh.
  */
 
@@ -39,6 +45,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 namespace livephase::obs
@@ -177,11 +184,20 @@ class Histogram
     std::atomic<double> peak{0.0};
 };
 
+class WindowedCounter;
+class WindowedHistogram;
+enum class Window : uint8_t;
+struct WindowStats;
+struct TimeSeriesSnapshot;
+
+/** In the order of MetricsRegistry::Slot's alternatives. */
 enum class MetricKind
 {
     Counter,
     Gauge,
-    Histogram
+    Histogram,
+    WindowedCounter,
+    WindowedHistogram
 };
 
 const char *metricKindName(MetricKind kind);
@@ -219,6 +235,9 @@ struct MetricsSnapshot
 class MetricsRegistry
 {
   public:
+    MetricsRegistry();
+    ~MetricsRegistry();
+
     /** The process-wide registry all instrumentation reports to. */
     static MetricsRegistry &global();
 
@@ -227,34 +246,82 @@ class MetricsRegistry
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
+    WindowedCounter &windowedCounter(const std::string &name);
+    WindowedHistogram &windowedHistogram(const std::string &name);
 
-    /** Number of registered metrics. */
-    size_t size() const;
-
+    /** The flat kinds (counter, gauge, histogram), sorted by name. */
     MetricsSnapshot snapshot() const;
+
+    /** Every windowed series over all three windows, by name. */
+    TimeSeriesSnapshot windowSnapshot() const;
+
+    /**
+     * Stats for a named windowed series over one window, without
+     * creating it. False when no windowed series has that name —
+     * the watchdog skips such rules instead of registering empty
+     * series.
+     */
+    bool seriesStats(const std::string &name, Window w,
+                     WindowStats &out) const;
+
+    /**
+     * Rotate every windowed series when a slot boundary has passed.
+     * Any thread may drive it (the watchdog, the ratekeeper, each
+     * exposition pass): callers race on one CAS on the deadline and
+     * losers return immediately.
+     * Catch-up after a stall rotates multiple times (capped at
+     * TS_SLOTS) so stale cells cannot leak into fresh windows.
+     * @return number of rotations performed by this caller.
+     */
+    size_t rotateIfDue(uint64_t now_ns);
+
+    /** Convenience: rotateIfDue(monoNowNs()). */
+    size_t rotateIfDue();
+
+    /** Slot duration; default 1 s. Tests shrink it to drive windows
+     *  quickly. Takes effect at the next rotation. */
+    void setSlotDuration(uint64_t ns);
+
+    uint64_t slotDurationNs() const
+    {
+        return slot_ns.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Reset every windowed series (cells cleared, epochs zeroed)
+     * and un-anchor the rotation schedule, WITHOUT invalidating
+     * handed-out references. The simulator calls this before each
+     * run so a replay inside a warm process starts from the same
+     * window state as a cold one; not safe against concurrent
+     * writers. Flat metrics are left as they are.
+     */
+    void resetWindowsForTest();
 
   private:
     static constexpr size_t SHARDS = 8;
 
-    struct Entry
-    {
-        MetricKind kind;
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
-    };
+    using Slot = std::variant<std::unique_ptr<Counter>,
+                              std::unique_ptr<Gauge>,
+                              std::unique_ptr<Histogram>,
+                              std::unique_ptr<WindowedCounter>,
+                              std::unique_ptr<WindowedHistogram>>;
 
     struct Shard
     {
         mutable std::mutex mu;
-        std::unordered_map<std::string, Entry> metrics;
+        std::unordered_map<std::string, Slot> metrics;
     };
 
-    Entry &findOrCreate(const std::string &name, MetricKind kind);
+    template <typename M>
+    M &findOrCreate(const std::string &name, MetricKind kind);
 
-    Shard &shardFor(const std::string &name);
+    static size_t shardIndex(const std::string &name);
+
+    void rotateAll();
 
     std::array<Shard, SHARDS> shards;
+    std::atomic<uint64_t> slot_ns{1'000'000'000};
+    std::atomic<uint64_t> next_rotation_ns{0};
 };
 
 } // namespace livephase::obs

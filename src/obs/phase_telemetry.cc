@@ -86,9 +86,9 @@ PhaseTelemetry::global()
 }
 
 PhaseTelemetry::PhaseTelemetry()
-    : pred_series(
-          TimeSeriesRegistry::global().counter("core.predictions")),
-      miss_series(TimeSeriesRegistry::global().counter(
+    : pred_series(MetricsRegistry::global().windowedCounter(
+          "core.predictions")),
+      miss_series(MetricsRegistry::global().windowedCounter(
           "core.mispredictions"))
 {
 }
@@ -155,7 +155,7 @@ PhaseTelemetry::snapshot() const
 
     const double slot_s =
         static_cast<double>(
-            TimeSeriesRegistry::global().slotDurationNs()) *
+            MetricsRegistry::global().slotDurationNs()) *
         1e-9;
     snap.pred_1s = pred_series.stats(Window::OneSecond, slot_s);
     snap.pred_10s = pred_series.stats(Window::TenSeconds, slot_s);

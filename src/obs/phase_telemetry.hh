@@ -128,7 +128,7 @@ class PhaseTelemetry
                PT_MAX_PHASES * PT_MAX_PHASES>
         matrix{};
     std::array<std::atomic<uint64_t>, PT_MAX_ACTIONS> dvfs{};
-    /** Windowed series, registered in TimeSeriesRegistry under
+    /** Windowed counters, registered in MetricsRegistry under
      *  "core.predictions" / "core.mispredictions" so watchdog rules
      *  can reference them by name. */
     WindowedCounter &pred_series;

@@ -109,11 +109,13 @@ ProfilerSeries &
 profilerSeries()
 {
     static ProfilerSeries s{
-        TimeSeriesRegistry::global().counter("obs.profiler_samples"),
-        TimeSeriesRegistry::global().counter("self.cycles"),
-        TimeSeriesRegistry::global().counter("self.instructions"),
-        TimeSeriesRegistry::global().counter("self.llc_misses"),
-        TimeSeriesRegistry::global().histogram("self.ipc"),
+        MetricsRegistry::global().windowedCounter(
+            "obs.profiler_samples"),
+        MetricsRegistry::global().windowedCounter("self.cycles"),
+        MetricsRegistry::global().windowedCounter(
+            "self.instructions"),
+        MetricsRegistry::global().windowedCounter("self.llc_misses"),
+        MetricsRegistry::global().windowedHistogram("self.ipc"),
         MetricsRegistry::global().counter(
             "livephase_profiler_samples_total"),
     };

@@ -98,6 +98,12 @@ currentSpanPath(char *buf, size_t size)
     return out;
 }
 
+void
+copyTruncated(char *dst, size_t dst_size, const char *src)
+{
+    std::snprintf(dst, dst_size, "%s", src ? src : "");
+}
+
 const BuildInfo &
 buildInfo()
 {

@@ -17,7 +17,11 @@
 #define LIVEPHASE_OBS_RUNTIME_HH
 
 #include <atomic>
+#include <cinttypes>
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 
 namespace livephase::obs
 {
@@ -72,6 +76,59 @@ void popSpan();
  */
 size_t currentSpanPath(char *buf, size_t size);
 
+/** Copy `src` (nullptr reads as "") into `dst`, truncated to fit;
+ *  always NUL-terminated. */
+void copyTruncated(char *dst, size_t dst_size, const char *src);
+
+/**
+ * One key=value attachment — a flight-recorder field or a trace-span
+ * annotation — preformatted into fixed buffers at the call site, so
+ * a record can never embed raw payload bytes unless a call site
+ * formats them in. Trivially copyable: records holding it stay
+ * seqlock-ring payloads. Two value lengths are in use:
+ * FlightRecorder::FieldArg (63) and TraceAnnotation (31).
+ */
+template <size_t VALUE_CHARS>
+struct KeyValue
+{
+    static constexpr size_t KEY_LEN = 15;
+    static constexpr size_t VALUE_LEN = VALUE_CHARS;
+
+    KeyValue() = default;
+
+    KeyValue(const char *k, const char *v)
+    {
+        copyTruncated(key, sizeof(key), k);
+        copyTruncated(value, sizeof(value), v);
+    }
+
+    KeyValue(const char *k, const std::string &v)
+        : KeyValue(k, v.c_str())
+    {
+    }
+
+    KeyValue(const char *k, uint64_t v)
+    {
+        copyTruncated(key, sizeof(key), k);
+        std::snprintf(value, sizeof(value), "%" PRIu64, v);
+    }
+
+    KeyValue(const char *k, int64_t v)
+    {
+        copyTruncated(key, sizeof(key), k);
+        std::snprintf(value, sizeof(value), "%" PRId64, v);
+    }
+
+    KeyValue(const char *k, double v)
+    {
+        copyTruncated(key, sizeof(key), k);
+        std::snprintf(value, sizeof(value), "%g", v);
+    }
+
+    char key[KEY_LEN + 1] = {};
+    char value[VALUE_LEN + 1] = {};
+};
+
 /** Compile-time identity of this build, for exposition labels. */
 struct BuildInfo
 {
@@ -86,10 +143,9 @@ const BuildInfo &buildInfo();
  * Refresh the registry's runtime self-description:
  * `livephase_build_info{version=...,git_sha=...,compiler=...}` (a
  * constant-1 gauge carrying its facts as labels, the Prometheus
- * build-info idiom) and `livephase_uptime_seconds`. Called by the
- * exposition paths (service metricsText, PeriodicExporter) right
- * before each render, so both Prometheus and JSONL always carry a
- * fresh uptime.
+ * build-info idiom) and `livephase_uptime_seconds`. The service's
+ * metricsText calls it right before each render, so both Prometheus
+ * and JSONL always carry a fresh uptime.
  */
 void refreshRuntimeMetrics();
 

@@ -3,7 +3,8 @@
  * SeqlockRing<T>: the one lock-free, drop-oldest record ring of the
  * flight recorder, tracer and profiler. ThreadRings<T>: lends each
  * tracer/profiler thread a ring, reusing released ones (a departed
- * thread's records stay readable until overwritten).
+ * thread's records stay readable until overwritten, or until its
+ * ring is freed as one released ring too many).
  *
  * Slot version: 0 never written, 2*seq+1 while record `seq` is being
  * written, 2*seq+2 published. A writer claims `seq` (fetch_add),
@@ -121,50 +122,96 @@ class SeqlockRing
     std::atomic<uint64_t> cursor{0};
 };
 
+/**
+ * Rings lent to threads. A thread releases its ring by dropping the
+ * handle acquire() gave it (at thread exit). Released rings stay
+ * readable — a departed thread's records remain in snapshots until a
+ * reusing thread overwrites them — but at most MAX_RELEASED are kept:
+ * past that the oldest released ring is freed, records and all. The
+ * ring count thus follows the threads alive now plus a constant, not
+ * the peak.
+ */
 template <typename T>
 class ThreadRings
 {
   public:
-    explicit ThreadRings(size_t ring_capacity) : cap(ring_capacity) {}
+    /** Released rings kept for reuse. */
+    static constexpr size_t MAX_RELEASED = 4;
 
-    /** A released ring, else a new one. References are handed out
-     *  only here, under `mu`: a use count of 1 there cannot rise. */
-    std::shared_ptr<SeqlockRing<T>> acquire()
+    explicit ThreadRings(size_t ring_capacity)
+        : pool(std::make_shared<Pool>(ring_capacity))
     {
-        std::lock_guard lock(mu);
-        for (const auto &ring : rings)
-            if (ring.use_count() == 1)
-                return ring;
-        return rings.emplace_back(
-            std::make_shared<SeqlockRing<T>>(cap));
     }
 
-    /** snapshotInto() of every ring, held or not. */
+    /** The longest-released ring, else a new one. The handle's
+     *  deleter holds the pool, so a handle may outlive this
+     *  registry. */
+    std::shared_ptr<SeqlockRing<T>> acquire()
+    {
+        return {pool->take(),
+                [p = pool](SeqlockRing<T> *r) { p->release(r); }};
+    }
+
+    /** snapshotInto() of every ring, held or released. */
     void snapshotInto(std::vector<T> &out) const
     {
-        std::lock_guard lock(mu);
-        for (const auto &ring : rings)
+        std::lock_guard lock(pool->mu);
+        for (const auto &ring : pool->rings)
             ring->snapshotInto(out);
     }
 
     /** clear() every ring. Only safe while nothing writes. */
     void clear()
     {
-        std::lock_guard lock(mu);
-        for (const auto &ring : rings)
+        std::lock_guard lock(pool->mu);
+        for (const auto &ring : pool->rings)
             ring->clear();
     }
 
     size_t ringCount() const
     {
-        std::lock_guard lock(mu);
-        return rings.size();
+        std::lock_guard lock(pool->mu);
+        return pool->rings.size();
     }
 
   private:
-    const size_t cap;
-    mutable std::mutex mu; ///< the ring list, not ring contents
-    std::vector<std::shared_ptr<SeqlockRing<T>>> rings;
+    struct Pool
+    {
+        explicit Pool(size_t ring_capacity) : cap(ring_capacity) {}
+
+        SeqlockRing<T> *take()
+        {
+            std::lock_guard lock(mu);
+            if (released.empty())
+                return rings
+                    .emplace_back(
+                        std::make_unique<SeqlockRing<T>>(cap))
+                    .get();
+            SeqlockRing<T> *ring = released.front();
+            released.erase(released.begin());
+            return ring;
+        }
+
+        void release(SeqlockRing<T> *ring)
+        {
+            std::lock_guard lock(mu);
+            released.push_back(ring);
+            if (released.size() <= MAX_RELEASED)
+                return;
+            SeqlockRing<T> *oldest = released.front();
+            released.erase(released.begin());
+            std::erase_if(rings, [oldest](const auto &r) {
+                return r.get() == oldest;
+            });
+        }
+
+        const size_t cap;
+        std::mutex mu; ///< the ring lists, not ring contents
+        std::vector<std::unique_ptr<SeqlockRing<T>>> rings; ///< all
+        std::vector<SeqlockRing<T> *> released; ///< oldest first
+    };
+
+    std::shared_ptr<Pool> pool;
 };
 
 } // namespace livephase::obs

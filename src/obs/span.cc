@@ -24,7 +24,7 @@ spanCycleSeries(const char *name)
 {
     std::string series = "cycles.";
     series += name;
-    return TimeSeriesRegistry::global().histogram(series);
+    return MetricsRegistry::global().windowedHistogram(series);
 }
 
 bool

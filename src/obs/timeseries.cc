@@ -1,10 +1,6 @@
 #include "obs/timeseries.hh"
 
 #include <algorithm>
-#include <functional>
-
-#include "common/logging.hh"
-#include "obs/runtime.hh"
 
 namespace livephase::obs
 {
@@ -142,201 +138,6 @@ TimeSeriesSnapshot::find(const std::string &name) const
             return &s;
     }
     return nullptr;
-}
-
-// --- registry ----------------------------------------------------
-
-TimeSeriesRegistry &
-TimeSeriesRegistry::global()
-{
-    static TimeSeriesRegistry registry;
-    return registry;
-}
-
-TimeSeriesRegistry::Shard &
-TimeSeriesRegistry::shardFor(const std::string &name)
-{
-    return shards[std::hash<std::string>{}(name) % SHARDS];
-}
-
-WindowedHistogram &
-TimeSeriesRegistry::histogram(const std::string &name)
-{
-    Shard &shard = shardFor(name);
-    std::lock_guard lock(shard.mu);
-    auto it = shard.series.find(name);
-    if (it == shard.series.end()) {
-        Entry entry;
-        entry.is_histogram = true;
-        entry.hist = std::make_unique<WindowedHistogram>();
-        it = shard.series.emplace(name, std::move(entry)).first;
-    }
-    if (!it->second.is_histogram)
-        panic("time series '%s' registered as counter, requested as "
-              "histogram",
-              name.c_str());
-    return *it->second.hist;
-}
-
-WindowedCounter &
-TimeSeriesRegistry::counter(const std::string &name)
-{
-    Shard &shard = shardFor(name);
-    std::lock_guard lock(shard.mu);
-    auto it = shard.series.find(name);
-    if (it == shard.series.end()) {
-        Entry entry;
-        entry.is_histogram = false;
-        entry.counter = std::make_unique<WindowedCounter>();
-        it = shard.series.emplace(name, std::move(entry)).first;
-    }
-    if (it->second.is_histogram)
-        panic("time series '%s' registered as histogram, requested "
-              "as counter",
-              name.c_str());
-    return *it->second.counter;
-}
-
-bool
-TimeSeriesRegistry::seriesStats(const std::string &name, Window w,
-                                WindowStats &out) const
-{
-    const double slot_s =
-        static_cast<double>(
-            slot_ns.load(std::memory_order_relaxed)) *
-        1e-9;
-    const Shard &shard =
-        shards[std::hash<std::string>{}(name) % SHARDS];
-    std::lock_guard lock(shard.mu);
-    const auto it = shard.series.find(name);
-    if (it == shard.series.end())
-        return false;
-    out = it->second.is_histogram
-        ? it->second.hist->stats(w, slot_s)
-        : it->second.counter->stats(w, slot_s);
-    return true;
-}
-
-void
-TimeSeriesRegistry::rotateAll()
-{
-    for (Shard &shard : shards) {
-        std::lock_guard lock(shard.mu);
-        for (auto &[name, entry] : shard.series) {
-            if (entry.is_histogram)
-                entry.hist->rotate();
-            else
-                entry.counter->rotate();
-        }
-    }
-}
-
-size_t
-TimeSeriesRegistry::rotateIfDue(uint64_t now_ns)
-{
-    const uint64_t slot = slot_ns.load(std::memory_order_relaxed);
-    size_t rotations = 0;
-    // Rotate once per elapsed slot boundary, capped at a full ring
-    // revolution: past that, older cells would be recycled anyway,
-    // so extra rotations only waste clears.
-    while (rotations < TS_SLOTS) {
-        uint64_t due = next_rotation_ns.load(
-            std::memory_order_relaxed);
-        if (due == 0) {
-            // First caller anchors the schedule; no rotation yet.
-            next_rotation_ns.compare_exchange_strong(
-                due, now_ns + slot, std::memory_order_relaxed);
-            return rotations;
-        }
-        if (now_ns < due)
-            return rotations;
-        if (!next_rotation_ns.compare_exchange_strong(
-                due, due + slot, std::memory_order_relaxed))
-            continue; // another thread claimed this boundary
-        rotateAll();
-        ++rotations;
-    }
-    return rotations;
-}
-
-size_t
-TimeSeriesRegistry::rotateIfDue()
-{
-    return rotateIfDue(monoNowNs());
-}
-
-void
-TimeSeriesRegistry::resetAllForTest()
-{
-    for (Shard &shard : shards) {
-        std::lock_guard lock(shard.mu);
-        for (auto &[name, entry] : shard.series) {
-            if (entry.is_histogram)
-                entry.hist->resetForTest();
-            else
-                entry.counter->resetForTest();
-        }
-    }
-    next_rotation_ns.store(0, std::memory_order_relaxed);
-}
-
-void
-TimeSeriesRegistry::setSlotDuration(uint64_t ns)
-{
-    slot_ns.store(std::max<uint64_t>(ns, 1000),
-                  std::memory_order_relaxed);
-    // Re-anchor so the next caller schedules off the new duration
-    // instead of draining boundaries computed from the old one.
-    next_rotation_ns.store(0, std::memory_order_relaxed);
-}
-
-size_t
-TimeSeriesRegistry::size() const
-{
-    size_t total = 0;
-    for (const Shard &shard : shards) {
-        std::lock_guard lock(shard.mu);
-        total += shard.series.size();
-    }
-    return total;
-}
-
-TimeSeriesSnapshot
-TimeSeriesRegistry::snapshot() const
-{
-    const double slot_s =
-        static_cast<double>(
-            slot_ns.load(std::memory_order_relaxed)) *
-        1e-9;
-    TimeSeriesSnapshot snap;
-    for (const Shard &shard : shards) {
-        std::lock_guard lock(shard.mu);
-        for (const auto &[name, entry] : shard.series) {
-            SeriesSample s;
-            s.name = name;
-            s.is_histogram = entry.is_histogram;
-            if (entry.is_histogram) {
-                s.w1s = entry.hist->stats(Window::OneSecond, slot_s);
-                s.w10s =
-                    entry.hist->stats(Window::TenSeconds, slot_s);
-                s.w60s =
-                    entry.hist->stats(Window::SixtySeconds, slot_s);
-            } else {
-                s.w1s =
-                    entry.counter->stats(Window::OneSecond, slot_s);
-                s.w10s =
-                    entry.counter->stats(Window::TenSeconds, slot_s);
-                s.w60s = entry.counter->stats(Window::SixtySeconds,
-                                              slot_s);
-            }
-            snap.series.push_back(std::move(s));
-        }
-    }
-    std::sort(snap.series.begin(), snap.series.end(),
-              [](const SeriesSample &a, const SeriesSample &b) {
-                  return a.name < b.name;
-              });
-    return snap;
 }
 
 } // namespace livephase::obs

@@ -1,7 +1,9 @@
 /**
  * @file
  * Windowed time-series layer: sliding-window rates and quantiles
- * over the lock-free metric primitives in obs/metrics.hh.
+ * over the lock-free metric primitives in obs/metrics.hh. Series are
+ * registered, rotated and read through MetricsRegistry, like every
+ * other metric kind.
  *
  * Point-in-time counters answer "how many ever"; operating a fleet
  * needs "how many per second, right now" and "what is p99 over the
@@ -9,9 +11,10 @@
  * cells (Histogram or u64 counter). Writers record into the live
  * cell with the same relaxed atomics as the flat metrics — zero
  * allocation, no locks, no fences on the request path. A rotation
- * tick (driven by the watchdog thread, the ratekeeper, or any
- * exposition pass — whoever gets there first wins a CAS) clears the
- * *next* cell and advances the epoch; readers merge the last k
+ * tick (MetricsRegistry::rotateIfDue(), driven by the watchdog
+ * thread, the ratekeeper, or any exposition pass — whoever gets
+ * there first wins a CAS) clears the *next* cell and advances the
+ * epoch; readers merge the last k
  * closed cells plus the live one into an ordinary
  * HistogramSnapshot and read rate/p50/p99 off it.
  *
@@ -29,9 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -166,91 +167,6 @@ struct TimeSeriesSnapshot
     std::vector<SeriesSample> series;
 
     const SeriesSample *find(const std::string &name) const;
-};
-
-/**
- * Name-sharded registry of windowed series, mirroring
- * MetricsRegistry: registration is mutex-guarded, handed-out
- * references are valid forever, and the record path never touches
- * the map again. Rotation for all series is driven by
- * rotateIfDue(), safe to call from any number of threads — one CAS
- * on the deadline decides a single winner per slot boundary.
- */
-class TimeSeriesRegistry
-{
-  public:
-    static TimeSeriesRegistry &global();
-
-    /** Find-or-create. panic() on kind mismatch. */
-    WindowedHistogram &histogram(const std::string &name);
-    WindowedCounter &counter(const std::string &name);
-
-    /**
-     * Stats for a named series over one window, without creating
-     * it. False when the series is not registered (the watchdog
-     * skips such rules instead of registering empty series).
-     */
-    bool seriesStats(const std::string &name, Window w,
-                     WindowStats &out) const;
-
-    /**
-     * Rotate every series when a slot boundary has passed. Multiple
-     * callers race on one CAS; losers return immediately. Catch-up
-     * after a stall rotates multiple times (capped at TS_SLOTS) so
-     * stale cells cannot leak into fresh windows.
-     * @return number of rotations performed by this caller.
-     */
-    size_t rotateIfDue(uint64_t now_ns);
-
-    /** Convenience: rotateIfDue(monoNowNs()). */
-    size_t rotateIfDue();
-
-    /** Slot duration; default 1 s. Tests shrink it to drive windows
-     *  quickly. Takes effect at the next rotation. */
-    void setSlotDuration(uint64_t ns);
-
-    /**
-     * Reset every registered series (cells cleared, epochs zeroed)
-     * and un-anchor the rotation schedule, WITHOUT invalidating
-     * handed-out series references. The simulator calls this before
-     * each run so a replay inside a warm process starts from the
-     * same window state as a cold one; not safe against concurrent
-     * writers.
-     */
-    void resetAllForTest();
-
-    uint64_t slotDurationNs() const
-    {
-        return slot_ns.load(std::memory_order_relaxed);
-    }
-
-    size_t size() const;
-
-    TimeSeriesSnapshot snapshot() const;
-
-  private:
-    static constexpr size_t SHARDS = 8;
-
-    struct Entry
-    {
-        bool is_histogram;
-        std::unique_ptr<WindowedHistogram> hist;
-        std::unique_ptr<WindowedCounter> counter;
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::unordered_map<std::string, Entry> series;
-    };
-
-    Shard &shardFor(const std::string &name);
-
-    void rotateAll();
-
-    std::array<Shard, SHARDS> shards;
-    std::atomic<uint64_t> slot_ns{1'000'000'000};
-    std::atomic<uint64_t> next_rotation_ns{0};
 };
 
 } // namespace livephase::obs

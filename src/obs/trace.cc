@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "obs/runtime.hh"
@@ -19,12 +18,6 @@ thread_local TraceContext current_trace{};
 namespace
 {
 
-void
-copyTruncated(char *dst, size_t dst_size, const char *src)
-{
-    std::snprintf(dst, dst_size, "%s", src ? src : "");
-}
-
 /** splitmix64: bijective, so distinct sequence numbers give
  *  distinct (and well-scattered) ids. */
 uint64_t
@@ -37,35 +30,6 @@ splitmix64(uint64_t x)
 }
 
 } // namespace
-
-TraceAnnotation::TraceAnnotation(const char *k, const char *v)
-{
-    copyTruncated(key, sizeof(key), k);
-    copyTruncated(value, sizeof(value), v);
-}
-
-TraceAnnotation::TraceAnnotation(const char *k, const std::string &v)
-    : TraceAnnotation(k, v.c_str())
-{
-}
-
-TraceAnnotation::TraceAnnotation(const char *k, uint64_t v)
-{
-    copyTruncated(key, sizeof(key), k);
-    std::snprintf(value, sizeof(value), "%" PRIu64, v);
-}
-
-TraceAnnotation::TraceAnnotation(const char *k, int64_t v)
-{
-    copyTruncated(key, sizeof(key), k);
-    std::snprintf(value, sizeof(value), "%" PRId64, v);
-}
-
-TraceAnnotation::TraceAnnotation(const char *k, double v)
-{
-    copyTruncated(key, sizeof(key), k);
-    std::snprintf(value, sizeof(value), "%g", v);
-}
 
 Tracer::Tracer(size_t n)
     : tracer_id([] {
@@ -218,9 +182,7 @@ TraceSpan::annotate(const TraceAnnotation &a)
 {
     if (!active || rec.nannotations >= SpanRecord::MAX_ANNOTATIONS)
         return;
-    auto &slot = rec.annotations[rec.nannotations++];
-    std::memcpy(slot.key, a.key, sizeof(a.key));
-    std::memcpy(slot.value, a.value, sizeof(a.value));
+    rec.annotations[rec.nannotations++] = a;
 }
 
 void
@@ -252,9 +214,7 @@ traceInstant(const char *name,
     for (const TraceAnnotation &a : annotations) {
         if (rec.nannotations >= SpanRecord::MAX_ANNOTATIONS)
             break;
-        auto &slot = rec.annotations[rec.nannotations++];
-        std::memcpy(slot.key, a.key, sizeof(a.key));
-        std::memcpy(slot.value, a.value, sizeof(a.value));
+        rec.annotations[rec.nannotations++] = a;
     }
     Tracer::global().record(rec);
 }

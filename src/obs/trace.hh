@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/runtime.hh"
 #include "obs/seqlock_ring.hh"
 
 namespace livephase::obs
@@ -111,22 +112,8 @@ class ScopedTrace
 };
 
 /** One key=value span annotation, preformatted at the call site
- *  (same discipline as FlightRecorder::FieldArg: a span can never
- *  embed raw payload bytes unless a call site formats them in). */
-struct TraceAnnotation
-{
-    static constexpr size_t KEY_LEN = 15;
-    static constexpr size_t VALUE_LEN = 31;
-
-    TraceAnnotation(const char *key, const char *value);
-    TraceAnnotation(const char *key, const std::string &value);
-    TraceAnnotation(const char *key, uint64_t value);
-    TraceAnnotation(const char *key, int64_t value);
-    TraceAnnotation(const char *key, double value);
-
-    char key[KEY_LEN + 1] = {};
-    char value[VALUE_LEN + 1] = {};
-};
+ *  (the same type as FlightRecorder::FieldArg, shorter values). */
+using TraceAnnotation = KeyValue<31>;
 
 /** One completed span as read back out of a ring. */
 struct SpanRecord
@@ -142,11 +129,7 @@ struct SpanRecord
     uint32_t tid = 0;       ///< obs::threadId()
     char name[NAME_LEN + 1] = {};
     uint8_t nannotations = 0;
-    struct
-    {
-        char key[TraceAnnotation::KEY_LEN + 1] = {};
-        char value[TraceAnnotation::VALUE_LEN + 1] = {};
-    } annotations[MAX_ANNOTATIONS];
+    TraceAnnotation annotations[MAX_ANNOTATIONS];
 };
 
 /**

@@ -317,7 +317,7 @@ Watchdog::loop()
         if (stop_requested)
             break;
         lock.unlock();
-        TimeSeriesRegistry::global().rotateIfDue();
+        MetricsRegistry::global().rotateIfDue();
         evalOnce();
         // The profiling plane reports health on the same cadence
         // as every other SLO signal.
@@ -329,7 +329,7 @@ Watchdog::loop()
 bool
 Watchdog::ruleValue(const WatchdogRule &rule, double &value) const
 {
-    const TimeSeriesRegistry &ts = TimeSeriesRegistry::global();
+    const MetricsRegistry &ts = MetricsRegistry::global();
     WindowStats stats;
     if (!ts.seriesStats(rule.series, rule.window, stats))
         return false;

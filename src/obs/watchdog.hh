@@ -17,8 +17,9 @@
  *     admission ratekeeper (degraded health is an overload signal)
  *     and the `stats` CLI.
  *
- * The evaluation tick also drives TimeSeriesRegistry rotation, so a
- * service with a watchdog needs no other rotation driver.
+ * The evaluation tick also rotates the windowed series
+ * (MetricsRegistry::rotateIfDue), so a service with a watchdog needs
+ * no other rotation driver.
  *
  * Rule grammar (parseWatchdogRules):
  *   rule      := name ':' series [ '/' series ] ':' stat ':' window

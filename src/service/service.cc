@@ -395,7 +395,7 @@ LivePhaseService::serveRequest(Request &req)
         // Windowed twin — the watchdog's burn-rate rules evaluate
         // p99 over this series, so it is a control signal too.
         static obs::WindowedHistogram &wait_window =
-            obs::TimeSeriesRegistry::global().histogram(
+            obs::MetricsRegistry::global().windowedHistogram(
                 "service.queue_wait_ms");
         wait_window.record(wait_s * 1e3);
         if (admit_ctl)
@@ -658,9 +658,9 @@ LivePhaseService::metricsText(uint16_t raw_format) const
     // one scrape answers "what is happening *now*", not just
     // since-boot cumulatives. Rotate first so a service scraped by
     // a slow poller still closes its one-second cells on time.
-    obs::TimeSeriesRegistry::global().rotateIfDue();
+    obs::MetricsRegistry::global().rotateIfDue();
     const obs::TimeSeriesSnapshot windows =
-        obs::TimeSeriesRegistry::global().snapshot();
+        obs::MetricsRegistry::global().windowSnapshot();
     if (format == obs::ExpositionFormat::Jsonl) {
         std::string text = obs::renderJsonl(snap);
         text += obs::renderTimeSeriesJsonl(windows);

@@ -159,7 +159,7 @@ SessionManager::open(PredictorKind kind)
         // Windowed twin of the cumulative counter — what the SLO
         // watchdog's eviction-storm rate rule evaluates.
         static obs::WindowedCounter &evict_window =
-            obs::TimeSeriesRegistry::global().counter(
+            obs::MetricsRegistry::global().windowedCounter(
                 "service.evictions");
         evict_window.inc();
         obs::FlightRecorder::global().record(

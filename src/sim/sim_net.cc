@@ -96,7 +96,9 @@ SimNet::logEvent(uint32_t node, uint32_t client, NetEventKind kind,
         ++log_overflow;
     if (kind == NetEventKind::DropRequest ||
         kind == NetEventKind::DropResponse)
-        obs::TimeSeriesRegistry::global().counter(DROP_SERIES).inc();
+        obs::MetricsRegistry::global()
+            .windowedCounter(DROP_SERIES)
+            .inc();
 }
 
 Bytes

@@ -194,7 +194,7 @@ struct World
         // Windowed series keep their registrations (handed-out
         // references stay valid) but lose all cells and the
         // rotation anchor.
-        obs::TimeSeriesRegistry::global().resetAllForTest();
+        obs::MetricsRegistry::global().resetWindowsForTest();
         obs::PhaseTelemetry::global().resetForTest();
         auto &faults = fault::FailpointRegistry::global();
         faults.disarmAll();
@@ -267,7 +267,7 @@ struct World
         sched.after(500 * MS, [this] {
             if (allDone() || sched.nowNs() >= hard_deadline_ns)
                 return;
-            obs::TimeSeriesRegistry::global().rotateIfDue(
+            obs::MetricsRegistry::global().rotateIfDue(
                 sched.nowNs());
             watchdog->evalOnce();
             scheduleWatchdogTick();

@@ -1,20 +1,11 @@
 /**
  * @file
- * PeriodicExporter lifecycle tests: the start/stop/start cycle, the
- * teardown ordering (join strictly before the final export), and a
- * start/stop hammer from concurrent threads. The concurrency cases
- * are exactly what scripts/verify.sh --tsan runs under TSan: the
- * historical bug was a stop() racing an in-flight export tick.
- *
- * Also here: the build-info / uptime runtime gauges every exporter
- * tick (and the service's QueryMetrics path) refreshes.
+ * Exposition edge cases: the build-info facts the runtime gauges
+ * carry, and escaping of hostile metric and series names in the
+ * Prometheus and JSONL renderers.
  */
 
-#include <chrono>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,90 +29,6 @@ countOccurrences(const std::string &haystack, const std::string &needle)
          pos = haystack.find(needle, pos + needle.size()))
         ++count;
     return count;
-}
-
-TEST(Exposition, PeriodicExporterStartStopIsIdempotent)
-{
-    MetricsRegistry reg;
-    reg.counter("livephase_test_events_total").inc(1);
-    std::ostringstream os;
-    PeriodicExporter exporter(reg, os,
-                              std::chrono::milliseconds(250));
-    EXPECT_TRUE(exporter.running());
-    exporter.start(); // no-op while running
-    EXPECT_TRUE(exporter.running());
-
-    exporter.stop();
-    EXPECT_FALSE(exporter.running());
-    exporter.stop(); // no-op when stopped
-    EXPECT_FALSE(exporter.running());
-
-    // Each effective stop performs exactly one final export.
-    EXPECT_EQ(countOccurrences(os.str(), "# export tick="), 1u);
-}
-
-TEST(Exposition, PeriodicExporterRestartsCleanly)
-{
-    MetricsRegistry reg;
-    std::ostringstream os;
-    PeriodicExporter exporter(reg, os, std::chrono::milliseconds(1));
-    for (int cycle = 0; cycle < 25; ++cycle) {
-        exporter.stop();
-        ASSERT_FALSE(exporter.running());
-        exporter.start();
-        ASSERT_TRUE(exporter.running());
-    }
-    exporter.stop();
-    // 26 stops, each with a final export, plus however many timed
-    // ticks the 1 ms interval landed in between.
-    EXPECT_GE(countOccurrences(os.str(), "# export tick="), 26u);
-}
-
-TEST(Exposition, PeriodicExporterSurvivesConcurrentStartStop)
-{
-    MetricsRegistry reg;
-    reg.counter("livephase_test_events_total").inc(1);
-    std::ostringstream os;
-    PeriodicExporter exporter(reg, os, std::chrono::milliseconds(1));
-
-    // Hammer the lifecycle from several threads while ticks are in
-    // flight; lifecycle_mu must serialize every transition (and the
-    // final export) or TSan flags the out-stream race here.
-    std::vector<std::thread> hammers;
-    for (int t = 0; t < 4; ++t)
-        hammers.emplace_back([&exporter] {
-            for (int i = 0; i < 50; ++i) {
-                exporter.stop();
-                exporter.start();
-            }
-        });
-    for (auto &h : hammers)
-        h.join();
-    exporter.stop();
-    EXPECT_FALSE(exporter.running());
-    EXPECT_NE(os.str().find("livephase_test_events_total"),
-              std::string::npos);
-}
-
-TEST(Exposition, ExporterTickRefreshesRuntimeGauges)
-{
-    // The runtime gauges live in the *global* registry; exporting it
-    // must include the constant-1 build-info series (facts as
-    // labels) and a positive uptime.
-    std::ostringstream os;
-    {
-        PeriodicExporter exporter(MetricsRegistry::global(), os,
-                                  std::chrono::milliseconds(250));
-    }
-    // The ticks render JSONL, which escapes the quotes inside the
-    // labeled series name — match up to the quote only.
-    const std::string text = os.str();
-    EXPECT_NE(text.find("livephase_build_info{version="),
-              std::string::npos);
-    EXPECT_NE(text.find("git_sha="), std::string::npos);
-    EXPECT_NE(text.find("compiler="), std::string::npos);
-    EXPECT_NE(text.find("livephase_uptime_seconds"),
-              std::string::npos);
 }
 
 TEST(Exposition, BuildInfoFactsAreNonEmpty)

@@ -14,6 +14,7 @@
 
 #include "obs/exposition.hh"
 #include "obs/metrics.hh"
+#include "obs/timeseries.hh"
 #include "test_util.hh"
 
 using namespace livephase;
@@ -125,7 +126,7 @@ TEST(MetricsRegistry, FindOrCreateIsStable)
     EXPECT_EQ(&c1, &c2);
     c1.inc(3);
     EXPECT_EQ(c2.value(), 3u);
-    EXPECT_EQ(reg.size(), 1u);
+    EXPECT_EQ(reg.snapshot().samples.size(), 1u);
 }
 
 TEST(MetricsRegistry, KindMismatchPanics)
@@ -133,6 +134,63 @@ TEST(MetricsRegistry, KindMismatchPanics)
     MetricsRegistry reg;
     reg.counter("livephase_test_thing");
     EXPECT_FAILURE(reg.gauge("livephase_test_thing"));
+}
+
+TEST(MetricsRegistry, WindowedSeriesShareTheMap)
+{
+    MetricsRegistry reg;
+    reg.counter("livephase_test_flat_total").inc(2);
+    WindowedCounter &events = reg.windowedCounter("test.events");
+    EXPECT_EQ(&events, &reg.windowedCounter("test.events"));
+    events.inc(3);
+    reg.windowedHistogram("test.lat_ms").record(1.0);
+
+    // One map, one kind per name, whichever kind came first.
+    EXPECT_FAILURE(reg.counter("test.events"));
+    EXPECT_FAILURE(reg.windowedHistogram("test.events"));
+    EXPECT_FAILURE(reg.windowedCounter("livephase_test_flat_total"));
+
+    // Each snapshot carries its own kinds only.
+    const MetricsSnapshot flat = reg.snapshot();
+    ASSERT_EQ(flat.samples.size(), 1u);
+    EXPECT_EQ(flat.samples[0].name, "livephase_test_flat_total");
+    const TimeSeriesSnapshot windows = reg.windowSnapshot();
+    ASSERT_EQ(windows.series.size(), 2u);
+    EXPECT_EQ(windows.series[0].name, "test.events");
+    EXPECT_FALSE(windows.series[0].is_histogram);
+    EXPECT_EQ(windows.series[0].w1s.count, 3u);
+    EXPECT_TRUE(windows.series[1].is_histogram);
+
+    // A watchdog rule naming a flat metric reads no window.
+    WindowStats stats;
+    EXPECT_TRUE(reg.seriesStats("test.events", Window::TenSeconds,
+                                stats));
+    EXPECT_EQ(stats.count, 3u);
+    EXPECT_FALSE(reg.seriesStats("livephase_test_flat_total",
+                                 Window::TenSeconds, stats));
+    EXPECT_FALSE(
+        reg.seriesStats("test.absent", Window::TenSeconds, stats));
+    EXPECT_EQ(reg.windowSnapshot().series.size(), 2u);
+}
+
+TEST(MetricsRegistry, RotationTouchesOnlyWindowedSeries)
+{
+    MetricsRegistry reg;
+    Counter &flat = reg.counter("livephase_test_flat_total");
+    WindowedCounter &events = reg.windowedCounter("test.events");
+    flat.inc(5);
+    events.inc(5);
+    const uint64_t slot = reg.slotDurationNs();
+    EXPECT_EQ(reg.rotateIfDue(1000 * slot), 0u); // anchors
+    EXPECT_EQ(reg.rotateIfDue(1002 * slot), 2u);
+    EXPECT_EQ(events.currentEpoch(), 2u);
+    EXPECT_EQ(flat.value(), 5u);
+
+    reg.resetWindowsForTest();
+    EXPECT_EQ(events.currentEpoch(), 0u);
+    EXPECT_EQ(events.windowCount(TS_SLOTS), 0u);
+    EXPECT_EQ(flat.value(), 5u);
+    EXPECT_EQ(reg.rotateIfDue(2000 * slot), 0u); // re-anchors
 }
 
 TEST(MetricsRegistry, SnapshotSortedAndMergeable)
@@ -190,7 +248,7 @@ TEST(MetricsRegistry, ConcurrentRegistrationAndUpdates)
     for (std::thread &t : threads)
         t.join();
 
-    EXPECT_EQ(reg.size(), THREADS + 2);
+    EXPECT_EQ(reg.snapshot().samples.size(), THREADS + 2);
     EXPECT_EQ(reg.counter("livephase_test_shared_total").value(),
               THREADS * INCS);
     EXPECT_EQ(reg.histogram("livephase_test_shared_us").count(),
@@ -242,23 +300,6 @@ TEST(Exposition, JsonlOneObjectPerLine)
     EXPECT_NE(text.find("\"kind\": \"histogram\""),
               std::string::npos);
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-}
-
-TEST(Exposition, PeriodicExporterTicksAndFlushes)
-{
-    MetricsRegistry reg;
-    reg.counter("livephase_test_events_total").inc(1);
-    std::ostringstream os;
-    {
-        PeriodicExporter exporter(reg, os,
-                                  std::chrono::milliseconds(5));
-        // The destructor performs one final export even if no tick
-        // elapsed, so no sleep is needed for a deterministic test.
-    }
-    const std::string text = os.str();
-    EXPECT_NE(text.find("# export tick="), std::string::npos);
-    EXPECT_NE(text.find("livephase_test_events_total"),
-              std::string::npos);
 }
 
 } // namespace

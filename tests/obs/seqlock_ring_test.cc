@@ -2,7 +2,8 @@
  * @file
  * SeqlockRing tests (obs/seqlock_ring.hh): a writer that finds its
  * slot still held drops its own record and leaves the holder's
- * intact, and readers racing writers never return a torn record.
+ * intact, readers racing writers never return a torn record, and
+ * ThreadRings frees released rings beyond its few spares.
  * The stress case is in the sanitizer filter (scripts/verify.sh),
  * so ThreadSanitizer checks the ring's memory-ordering argument.
  */
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/seqlock_ring.hh"
+#include "obs/trace.hh"
 
 using namespace livephase::obs;
 
@@ -121,6 +123,34 @@ TEST(SeqlockRing, ReadersNeverSeeTornRecords)
     EXPECT_EQ(torn, 0u);
     EXPECT_GT(records, 0u);
     EXPECT_EQ(ring.claimed(), WRITERS * PER_WRITER);
+}
+
+TEST(SeqlockRing, TracerThreadBurstFreesRingsBeyondSpares)
+{
+    // A burst of threads that all hold a ring at once, then exit:
+    // the tracer keeps a few released rings for reuse and frees the
+    // rest, so its memory follows the live threads, not the peak.
+    Tracer tracer(8);
+    constexpr uint64_t THREADS = 16;
+    std::atomic<uint64_t> recorded{0};
+    std::vector<std::thread> burst;
+    for (uint64_t i = 0; i < THREADS; ++i)
+        burst.emplace_back([&tracer, &recorded, i] {
+            SpanRecord rec;
+            rec.trace_id = 1;
+            rec.span_id = i + 1;
+            tracer.record(rec);
+            recorded.fetch_add(1);
+            while (recorded.load() < THREADS)
+                std::this_thread::yield();
+        });
+    for (std::thread &t : burst)
+        t.join();
+    EXPECT_EQ(tracer.totalRecorded(), THREADS);
+    EXPECT_LE(tracer.ringCount(),
+              ThreadRings<SpanRecord>::MAX_RELEASED);
+    // The spans in the rings kept stay queryable.
+    EXPECT_EQ(tracer.snapshotSpans().size(), tracer.ringCount());
 }
 
 } // namespace

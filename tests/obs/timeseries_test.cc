@@ -89,16 +89,16 @@ TEST(TimeSeries, WindowedCounterRates)
 
 TEST(TimeSeries, RegistryFindOrCreateAndSnapshot)
 {
-    auto &reg = TimeSeriesRegistry::global();
-    WindowedHistogram &h = reg.histogram("test.ts.reg_hist");
-    WindowedCounter &c = reg.counter("test.ts.reg_counter");
+    auto &reg = MetricsRegistry::global();
+    WindowedHistogram &h = reg.windowedHistogram("test.ts.reg_hist");
+    WindowedCounter &c = reg.windowedCounter("test.ts.reg_counter");
     // Same name -> same instance.
-    EXPECT_EQ(&h, &reg.histogram("test.ts.reg_hist"));
-    EXPECT_EQ(&c, &reg.counter("test.ts.reg_counter"));
+    EXPECT_EQ(&h, &reg.windowedHistogram("test.ts.reg_hist"));
+    EXPECT_EQ(&c, &reg.windowedCounter("test.ts.reg_counter"));
     h.record(1.0);
     c.inc(3);
 
-    const TimeSeriesSnapshot snap = reg.snapshot();
+    const TimeSeriesSnapshot snap = reg.windowSnapshot();
     const SeriesSample *hs = snap.find("test.ts.reg_hist");
     const SeriesSample *cs = snap.find("test.ts.reg_counter");
     ASSERT_NE(hs, nullptr);
@@ -121,8 +121,8 @@ TEST(TimeSeries, RegistryFindOrCreateAndSnapshot)
 
 TEST(TimeSeries, RotateIfDueSingleWinnerPerBoundary)
 {
-    auto &reg = TimeSeriesRegistry::global();
-    WindowedCounter &c = reg.counter("test.ts.rotate_race");
+    auto &reg = MetricsRegistry::global();
+    WindowedCounter &c = reg.windowedCounter("test.ts.rotate_race");
     const uint64_t slot = reg.slotDurationNs();
 
     // Re-anchor the schedule (same duration, zeroed deadline) so
@@ -155,9 +155,9 @@ TEST(TimeSeries, RotateIfDueSingleWinnerPerBoundary)
 
 TEST(TimeSeries, ExpositionDuringActiveRotation)
 {
-    auto &reg = TimeSeriesRegistry::global();
-    WindowedHistogram &h = reg.histogram("test.ts.expose_hist");
-    WindowedCounter &c = reg.counter("test.ts.expose_counter");
+    auto &reg = MetricsRegistry::global();
+    WindowedHistogram &h = reg.windowedHistogram("test.ts.expose_hist");
+    WindowedCounter &c = reg.windowedCounter("test.ts.expose_counter");
 
     // Writers + a rotator churn while renders run: no torn reads,
     // no crashes, output always well-formed. TSan verifies the
@@ -178,7 +178,7 @@ TEST(TimeSeries, ExpositionDuringActiveRotation)
     });
 
     for (int i = 0; i < 50; ++i) {
-        const TimeSeriesSnapshot snap = reg.snapshot();
+        const TimeSeriesSnapshot snap = reg.windowSnapshot();
         const std::string prom = renderTimeSeriesPrometheus(snap);
         const std::string jsonl = renderTimeSeriesJsonl(snap);
         EXPECT_NE(prom.find("livephase_window{series="),
@@ -192,10 +192,10 @@ TEST(TimeSeries, ExpositionDuringActiveRotation)
 
 TEST(TimeSeries, PrometheusRenderingEscapesLabelQuotes)
 {
-    auto &reg = TimeSeriesRegistry::global();
-    reg.counter("test.ts.labeled{tag=\"interactive\"}").inc();
+    auto &reg = MetricsRegistry::global();
+    reg.windowedCounter("test.ts.labeled{tag=\"interactive\"}").inc();
     const std::string prom =
-        renderTimeSeriesPrometheus(reg.snapshot());
+        renderTimeSeriesPrometheus(reg.windowSnapshot());
     // The embedded quotes must be escaped inside the series label.
     EXPECT_NE(
         prom.find("series=\"test.ts.labeled{tag=\\\"interactive"),
@@ -209,10 +209,10 @@ TEST(PhaseTelemetry, BatchDeltaFlushAndSnapshot)
     // resetForTest() clears the totals but not the windowed series
     // (those live in the global registry); drain them by cycling
     // the full ring so the window assertions below are exact.
-    auto &reg = TimeSeriesRegistry::global();
+    auto &reg = MetricsRegistry::global();
     for (size_t i = 0; i < TS_SLOTS; ++i) {
-        reg.counter("core.predictions").rotate();
-        reg.counter("core.mispredictions").rotate();
+        reg.windowedCounter("core.predictions").rotate();
+        reg.windowedCounter("core.mispredictions").rotate();
     }
 
     PhaseBatchDelta delta;

@@ -124,8 +124,8 @@ ruleOver(const RigConfig &rig)
 
 TEST(Watchdog, BreachAndRecoverEdges)
 {
-    auto &reg = TimeSeriesRegistry::global();
-    WindowedCounter &events = reg.counter("test.wd.edge_events");
+    auto &reg = MetricsRegistry::global();
+    WindowedCounter &events = reg.windowedCounter("test.wd.edge_events");
     RigConfig rig;
     rig.series = "test.wd.edge_events";
     Watchdog wd(ruleOver(rig));
@@ -174,8 +174,9 @@ TEST(Watchdog, BreachAndRecoverEdges)
 
 TEST(Watchdog, ForWindowsRequiresConsecutiveBreaches)
 {
-    auto &reg = TimeSeriesRegistry::global();
-    WindowedCounter &events = reg.counter("test.wd.streak_events");
+    auto &reg = MetricsRegistry::global();
+    WindowedCounter &events =
+        reg.windowedCounter("test.wd.streak_events");
     RigConfig rig;
     rig.series = "test.wd.streak_events";
     rig.for_windows = 3;
@@ -202,9 +203,9 @@ TEST(Watchdog, ForWindowsRequiresConsecutiveBreaches)
 
 TEST(Watchdog, RatioRuleSkipsEmptyDenominator)
 {
-    auto &reg = TimeSeriesRegistry::global();
-    WindowedCounter &miss = reg.counter("test.wd.ratio_miss");
-    WindowedCounter &pred = reg.counter("test.wd.ratio_pred");
+    auto &reg = MetricsRegistry::global();
+    WindowedCounter &miss = reg.windowedCounter("test.wd.ratio_miss");
+    WindowedCounter &pred = reg.windowedCounter("test.wd.ratio_pred");
 
     WatchdogConfig cfg;
     WatchdogRule rule;
@@ -259,8 +260,8 @@ TEST(Watchdog, MissingSeriesIsNotABreach)
 
 TEST(Watchdog, LifecycleStartStopRestart)
 {
-    auto &reg = TimeSeriesRegistry::global();
-    reg.counter("test.wd.lifecycle_events");
+    auto &reg = MetricsRegistry::global();
+    reg.windowedCounter("test.wd.lifecycle_events");
     RigConfig rig;
     rig.series = "test.wd.lifecycle_events";
     WatchdogConfig cfg = ruleOver(rig);
@@ -288,7 +289,7 @@ TEST(Watchdog, ConcurrentLifecycleHammer)
 {
     RigConfig rig;
     rig.series = "test.wd.hammer_events";
-    TimeSeriesRegistry::global().counter(rig.series);
+    MetricsRegistry::global().windowedCounter(rig.series);
     WatchdogConfig cfg = ruleOver(rig);
     cfg.eval_interval_ns = 1'000'000;
     Watchdog wd(cfg);

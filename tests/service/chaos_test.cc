@@ -791,7 +791,7 @@ TEST(Chaos, AccuracyCollapseTripsWatchdogWithinOneWindow)
     auto &reg = fault::FailpointRegistry::global();
     auto &rec = obs::FlightRecorder::global();
     auto &pt = obs::PhaseTelemetry::global();
-    auto &ts = obs::TimeSeriesRegistry::global();
+    auto &ts = obs::MetricsRegistry::global();
 
     // One run of the scenario: scrambled predictor, watchdog with a
     // fast evaluation tick, assert the full detection chain, hand
@@ -803,8 +803,8 @@ TEST(Chaos, AccuracyCollapseTripsWatchdogWithinOneWindow)
         // the ratio reflects only this run's scrambled traffic.
         pt.resetForTest();
         for (size_t i = 0; i < obs::TS_SLOTS; ++i) {
-            ts.counter("core.predictions").rotate();
-            ts.counter("core.mispredictions").rotate();
+            ts.windowedCounter("core.predictions").rotate();
+            ts.windowedCounter("core.mispredictions").rotate();
         }
         std::ostringstream dumps;
         rec.setDumpSink(&dumps);

@@ -6,8 +6,10 @@
  * in the socket-desync dump.
  */
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <unistd.h>
 
@@ -148,6 +150,41 @@ TEST(ObsIntegration, QueryMetricsOverUds)
               std::string::npos);
 
     server.stop();
+}
+
+TEST(ObsIntegration, MetricsTextRefreshesRuntimeGauges)
+{
+    // Every render first refreshes the runtime gauges: the
+    // constant-1 build-info series (facts as labels) and the uptime.
+    LivePhaseService svc;
+    const auto prom = static_cast<uint16_t>(
+        obs::ExpositionFormat::Prometheus);
+    const auto uptime = [&] {
+        const std::string text = svc.metricsText(prom);
+        const std::string key = "\nlivephase_uptime_seconds ";
+        const size_t at = text.find(key);
+        EXPECT_NE(at, std::string::npos) << text;
+        return at == std::string::npos
+            ? 0.0
+            : std::stod(text.substr(at + key.size()));
+    };
+    const double first = uptime();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_GT(uptime(), first);
+
+    const std::string text = svc.metricsText(prom);
+    EXPECT_NE(text.find("livephase_build_info{version=\""),
+              std::string::npos);
+    EXPECT_NE(text.find("git_sha=\""), std::string::npos);
+    EXPECT_NE(text.find("compiler=\""), std::string::npos);
+    // JSONL escapes the quotes inside the labeled name; match up to
+    // the quote only.
+    const std::string jsonl = svc.metricsText(
+        static_cast<uint16_t>(obs::ExpositionFormat::Jsonl));
+    EXPECT_NE(jsonl.find("livephase_build_info{version="),
+              std::string::npos);
+    EXPECT_NE(jsonl.find("\"livephase_uptime_seconds\""),
+              std::string::npos);
 }
 
 TEST(ObsIntegration, QueryPhasesFleetAndPerSession)
