@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/random.hh"
@@ -416,6 +417,190 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<size_t, size_t>{32, 4},
                       std::pair<size_t, size_t>{16, 8},
                       std::pair<size_t, size_t>{8, 16}));
+
+/**
+ * The linear-scan GPHT as first written: vector tags, a full-set
+ * scan per lookup and an age scan for the victim (first invalid way,
+ * else minimum age). GphtPredictor must agree with it step for step.
+ */
+class ReferenceGpht
+{
+  public:
+    ReferenceGpht(size_t depth, size_t entries, size_t sets)
+        : depth(depth), sets(sets), ways(entries / sets),
+          gphr(depth, INVALID_PHASE), pht(entries)
+    {
+    }
+
+    PhaseId step(PhaseId phase)
+    {
+        if (pending >= 0)
+            pht[static_cast<size_t>(pending)].prediction = phase;
+        pending = -1;
+        gphr.insert(gphr.begin(), phase);
+        gphr.pop_back();
+        if (fill < depth)
+            ++fill;
+        if (fill < depth)
+            return gphr[0];
+        ++stats.lookups;
+        size_t base = 0;
+        if (sets > 1) {
+            uint64_t hash = 1469598103934665603ULL;
+            for (PhaseId p : gphr) {
+                hash ^= static_cast<uint64_t>(static_cast<uint32_t>(p));
+                hash *= 1099511628211ULL;
+            }
+            base = static_cast<size_t>(hash % sets) * ways;
+        }
+        for (size_t i = base; i < base + ways; ++i) {
+            if (pht[i].age >= 0 && pht[i].tag == gphr) {
+                ++stats.hits;
+                pht[i].age = ++clock;
+                pending = static_cast<int>(i);
+                return pht[i].prediction != INVALID_PHASE
+                    ? pht[i].prediction : gphr[0];
+            }
+        }
+        size_t victim = base;
+        for (size_t i = base; i < base + ways; ++i) {
+            if (pht[i].age < 0) {
+                victim = i;
+                break;
+            }
+            if (pht[i].age < pht[victim].age)
+                victim = i;
+        }
+        if (pht[victim].age >= 0)
+            ++stats.replacements;
+        ++stats.insertions;
+        pht[victim] = {gphr, INVALID_PHASE, ++clock};
+        pending = static_cast<int>(victim);
+        return gphr[0];
+    }
+
+    size_t occupancy() const
+    {
+        size_t valid = 0;
+        for (const Entry &e : pht)
+            valid += e.age >= 0;
+        return valid;
+    }
+
+    struct Entry
+    {
+        std::vector<PhaseId> tag;
+        PhaseId prediction = INVALID_PHASE;
+        int64_t age = -1;
+    };
+
+    size_t depth, sets, ways, fill = 0;
+    std::vector<PhaseId> gphr;
+    std::vector<Entry> pht;
+    int64_t clock = 0;
+    int pending = -1;
+    GphtPredictor::Stats stats;
+};
+
+/** A stream over phases 1..num_phases that follows a random period
+ *  most of the time (hits) and jumps at random otherwise (misses
+ *  and, in small tables, replacements). */
+std::vector<PhaseId>
+mixedStream(Rng &rng, int num_phases, size_t length)
+{
+    std::vector<PhaseId> period(
+        static_cast<size_t>(rng.uniformInt(1, 40)));
+    for (PhaseId &p : period)
+        p = static_cast<PhaseId>(rng.uniformInt(1, num_phases));
+    std::vector<PhaseId> seq;
+    for (size_t i = 0; i < length; ++i)
+        seq.push_back(rng.chance(0.75)
+                          ? period[i % period.size()]
+                          : static_cast<PhaseId>(
+                                rng.uniformInt(1, num_phases)));
+    return seq;
+}
+
+/** Step both models over seq, comparing every observable each step;
+ *  returns false at the first mismatch so a failure reports once. */
+bool
+matchesReference(GphtPredictor &p, ReferenceGpht &ref,
+                 const std::vector<PhaseId> &seq, const char *leg)
+{
+    for (size_t i = 0; i < seq.size(); ++i) {
+        const PhaseId want = ref.step(seq[i]);
+        p.observePhase(seq[i]);
+        const auto &s = p.stats();
+        const bool same = p.predict() == want &&
+            s.lookups == ref.stats.lookups &&
+            s.hits == ref.stats.hits &&
+            s.insertions == ref.stats.insertions &&
+            s.replacements == ref.stats.replacements &&
+            p.gphrContents() == ref.gphr &&
+            p.phtOccupancy() == ref.occupancy();
+        if (!same) {
+            ADD_FAILURE() << p.name() << " " << leg
+                          << ": diverged at step " << i;
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Random geometries (depth 1-16, capacity 1-1024, every divisor as
+ *  the set count) plus the edge geometries, each driven past a
+ *  clone() taken mid-stream and a reset(). */
+TEST(GphtDifferential, MatchesLinearScanReference)
+{
+    Rng rng(24);
+    std::vector<std::pair<size_t, size_t>> shapes{
+        {1, 1}, {16, 1}, {16, 1024}, {8, 1024}, {1, 1024}, {8, 128}};
+    for (int i = 0; i < 10; ++i)
+        shapes.emplace_back(
+            static_cast<size_t>(rng.uniformInt(1, 16)),
+            static_cast<size_t>(rng.uniformInt(1, 1024)));
+    size_t runs = 0;
+    for (const auto &[depth, entries] : shapes) {
+        for (size_t sets = 1; sets <= entries; ++sets) {
+            if (entries % sets != 0)
+                continue;
+            ++runs;
+            const int num_phases =
+                static_cast<int>(rng.uniformInt(2, 15));
+            GphtPredictor p(depth, entries, sets);
+            ReferenceGpht ref(depth, entries, sets);
+            if (!matchesReference(p, ref,
+                                  mixedStream(rng, num_phases, 600),
+                                  "warm-up"))
+                continue;
+
+            // A clone carries the learned state and then evolves
+            // on its own: the two copies take turns, each tracking
+            // its own reference, so shared state would diverge.
+            PredictorPtr cloned = p.clone();
+            auto &twin = static_cast<GphtPredictor &>(*cloned);
+            ReferenceGpht ref_twin = ref;
+            if (!matchesReference(twin, ref_twin,
+                                  mixedStream(rng, num_phases, 300),
+                                  "clone") ||
+                !matchesReference(p, ref,
+                                  mixedStream(rng, num_phases, 300),
+                                  "original") ||
+                !matchesReference(twin, ref_twin,
+                                  mixedStream(rng, num_phases, 300),
+                                  "clone again"))
+                continue;
+
+            p.reset();
+            ref = ReferenceGpht(depth, entries, sets);
+            EXPECT_EQ(p.phtOccupancy(), 0u);
+            matchesReference(p, ref,
+                             mixedStream(rng, num_phases, 600),
+                             "after reset");
+        }
+    }
+    EXPECT_GT(runs, 40u);
+}
 
 } // namespace
 } // namespace livephase
