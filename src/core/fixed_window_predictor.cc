@@ -1,7 +1,6 @@
 #include "core/fixed_window_predictor.hh"
 
 #include <cmath>
-#include <map>
 
 #include "common/logging.hh"
 
@@ -24,9 +23,17 @@ FixedWindowPredictor::FixedWindowPredictor(size_t window,
 void
 FixedWindowPredictor::observe(const PhaseSample &sample)
 {
+    if (sample.phase < 0 || sample.phase > MAX_PHASES)
+        panic("FixedWindowPredictor: phase %d outside 0..%d",
+              sample.phase, MAX_PHASES);
+    const auto phase = static_cast<size_t>(sample.phase);
+    ++tallies[phase].count;
+    tallies[phase].newest = ++observations;
     history.push_front(sample.phase);
-    if (history.size() > win_size)
+    if (history.size() > win_size) {
+        --tallies[static_cast<size_t>(history.back())].count;
         history.pop_back();
+    }
     if (ewma_seeded) {
         ewma_value =
             alpha * static_cast<double>(sample.phase) +
@@ -57,6 +64,8 @@ void
 FixedWindowPredictor::reset()
 {
     history.clear();
+    tallies = {};
+    observations = 0;
     ewma_value = 0.0;
     ewma_seeded = false;
 }
@@ -72,26 +81,17 @@ FixedWindowPredictor::name() const
 PhaseId
 FixedWindowPredictor::majorityVote() const
 {
-    std::map<PhaseId, size_t> counts;
-    for (PhaseId p : history)
-        ++counts[p];
-    PhaseId best = history.front();
-    size_t best_count = counts[best];
-    for (const auto &[phase, count] : counts) {
-        if (count > best_count) {
-            best = phase;
-            best_count = count;
-        }
-    }
-    // Ties resolve to the most recent phase among the tied ones:
-    // walk the history from newest to oldest.
-    for (PhaseId p : history) {
-        if (counts[p] == best_count) {
+    // The most frequent phase; ties resolve to the one seen most
+    // recently.
+    size_t best = 0;
+    for (size_t p = 1; p < tallies.size(); ++p) {
+        const Tally &t = tallies[p];
+        if (t.count > tallies[best].count ||
+            (t.count == tallies[best].count &&
+             t.newest > tallies[best].newest))
             best = p;
-            break;
-        }
     }
-    return best;
+    return static_cast<PhaseId>(best);
 }
 
 PhaseId

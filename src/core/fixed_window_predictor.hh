@@ -13,7 +13,9 @@
 #ifndef LIVEPHASE_CORE_FIXED_WINDOW_PREDICTOR_HH
 #define LIVEPHASE_CORE_FIXED_WINDOW_PREDICTOR_HH
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 
 #include "core/predictor.hh"
@@ -68,6 +70,15 @@ class FixedWindowPredictor : public PhasePredictor
     Selector sel;
     double alpha;
     std::deque<PhaseId> history; ///< most recent at front
+    /** One phase id's share of the window, kept as phases enter and
+     *  leave it so a majority vote needs no per-predict map. */
+    struct Tally
+    {
+        size_t count = 0;    ///< occurrences in the window
+        uint64_t newest = 0; ///< observation number of the newest
+    };
+    std::array<Tally, MAX_PHASES + 1> tallies{}; ///< by phase id
+    uint64_t observations = 0;
     double ewma_value;
     bool ewma_seeded;
 };

@@ -1,39 +1,37 @@
 #include "core/gpht_predictor.hh"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace livephase
 {
 
+static_assert(MAX_PHASES <= GphtPredictor::MAX_PHASE,
+              "every classifier phase must fit a packed GPHR");
+
 GphtPredictor::GphtPredictor(size_t gphr_depth, size_t pht_entries,
                              size_t sets)
     : depth(gphr_depth), capacity(pht_entries), num_sets(sets)
 {
-    if (depth == 0)
-        fatal("GphtPredictor: GPHR depth must be non-zero");
-    if (capacity == 0)
-        fatal("GphtPredictor: PHT must have at least one entry");
+    if (depth == 0 || depth > MAX_DEPTH)
+        fatal("GphtPredictor: GPHR depth %zu is not in 1..%zu", depth,
+              MAX_DEPTH);
+    if (capacity == 0 || capacity > MAX_ENTRIES)
+        fatal("GphtPredictor: %zu PHT entries is not in 1..%zu",
+              capacity, MAX_ENTRIES);
     if (num_sets == 0 || capacity % num_sets != 0)
         fatal("GphtPredictor: %zu PHT entries do not split into %zu "
               "sets", capacity, num_sets);
     num_ways = capacity / num_sets;
-    gphr.assign(depth, INVALID_PHASE);
-    pht.assign(capacity, PhtEntry{});
-    gphr_fill = 0;
-    lru_clock = 0;
-    pending_train = -1;
-    current_prediction = INVALID_PHASE;
-}
-
-void
-GphtPredictor::observe(const PhaseSample &sample)
-{
-    step(sample);
+    pht.resize(capacity);
+    lru.resize(num_sets);
+    // Load factor <= 1/2 keeps probe chains short, and a bucket
+    // stays empty even while an evicted tag is still indexed beside
+    // its replacement (capacity 1 needs 4 buckets for that).
+    index.resize(std::max<size_t>(4, std::bit_ceil(2 * capacity)));
+    reset();
 }
 
 void
@@ -44,64 +42,86 @@ GphtPredictor::observeAndPredictBatch(
     if (samples.size() != predictions.size())
         fatal("GPHT batch: %zu samples vs %zu slots",
               samples.size(), predictions.size());
+    // The qualified call is not virtual, so the loop inlines it.
     for (size_t i = 0; i < samples.size(); ++i) {
-        step(samples[i]);
+        GphtPredictor::observe(samples[i]);
         predictions[i] = current_prediction;
     }
 }
 
 void
-GphtPredictor::step(const PhaseSample &sample)
+GphtPredictor::observe(const PhaseSample &sample)
 {
+    const PhaseId phase = sample.phase;
+    // PhaseClassifier defines at most MAX_PHASES phases, so a phase
+    // the packed GPHR cannot hold is a bug, never input.
+    if (phase < 0 || phase > MAX_PHASE)
+        panic("GphtPredictor: phase %d outside 0..%d", phase,
+              MAX_PHASE);
+
     // 1. Train the entry consulted (or installed) last period with
     //    the phase that actually followed its pattern.
-    if (pending_train >= 0)
-        pht[static_cast<size_t>(pending_train)].prediction =
-            sample.phase;
-    pending_train = -1;
+    if (pending_train != NIL)
+        pht[pending_train].prediction = static_cast<uint8_t>(phase);
+    pending_train = NIL;
 
     // 2. Shift the observed phase into the GPHR.
-    for (size_t i = depth - 1; i > 0; --i)
-        gphr[i] = gphr[i - 1];
-    gphr[0] = sample.phase;
+    gphr = ((gphr << PHASE_BITS) | static_cast<uint64_t>(phase)) &
+        (~uint64_t(0) >> (64 - depth * PHASE_BITS));
     if (gphr_fill < depth)
         ++gphr_fill;
 
     // 3. Until the GPHR holds a full pattern there is nothing to
     //    index the PHT with: behave as last-value.
-    if (gphr_fill < depth) {
-        current_prediction = gphr[0];
+    current_prediction = phase;
+    if (gphr_fill < depth)
         return;
-    }
 
-    // 4. Associative lookup in the GPHR's set.
+    // 4. Exact lookup: a tag lives only in the set it hashes to, so
+    //    the one index answers what a search of that set would.
     ++counters.lookups;
-    const size_t base = setBase();
-    const int hit = lookup(base);
-    if (hit >= 0) {
+    const size_t mask = index.size() - 1;
+    size_t bucket = home(gphr);
+    for (; index[bucket] != 0; bucket = (bucket + 1) & mask) {
+        const auto slot = static_cast<uint16_t>(index[bucket] - 1);
+        if (pht[slot].tag != gphr)
+            continue;
         ++counters.hits;
-        PhtEntry &entry = pht[static_cast<size_t>(hit)];
-        entry.age = ++lru_clock;
+        SetLru &set = lru[num_sets == 1 ? 0 : slot / num_ways];
+        if (set.head != slot)
+            moveToFront(set, slot, true);
         // An entry installed on a miss has not been trained yet; its
         // prediction is invalid until its pattern recurs after one
-        // training step. Fall back to last-value in that window.
-        current_prediction = entry.prediction != INVALID_PHASE
-            ? entry.prediction : gphr[0];
-        pending_train = hit;
+        // training step. Keep the last-value fallback in that window.
+        if (pht[slot].prediction != INVALID_PHASE)
+            current_prediction = pht[slot].prediction;
+        pending_train = slot;
         return;
     }
 
-    // 5. Miss: predict last value and install the current pattern.
-    current_prediction = gphr[0];
-    const int victim = victimIndex(base);
-    PhtEntry &entry = pht[static_cast<size_t>(victim)];
-    if (entry.age >= 0)
+    // 5. Miss: predict last value and install the current pattern in
+    //    the set's next unused way, else over its LRU entry. The tag
+    //    takes the empty bucket its probe ended on.
+    const size_t set_index = setOf();
+    SetLru &set = lru[set_index];
+    uint16_t slot;
+    size_t evicted = index.size();
+    if (set.fill < num_ways) {
+        slot = static_cast<uint16_t>(set_index * num_ways + set.fill++);
+    } else {
+        slot = set.tail;
+        evicted = pht[slot].bucket;
         ++counters.replacements;
+    }
     ++counters.insertions;
-    entry.tag = gphr;
-    entry.prediction = INVALID_PHASE;
-    entry.age = ++lru_clock;
-    pending_train = victim;
+    moveToFront(set, slot, evicted != index.size());
+    pht[slot].tag = gphr;
+    pht[slot].prediction = INVALID_PHASE;
+    pht[slot].bucket = static_cast<uint16_t>(bucket);
+    index[bucket] = static_cast<uint16_t>(slot + 1);
+    if (evicted != index.size())
+        unindex(evicted);
+    pending_train = slot;
 }
 
 PhaseId
@@ -113,12 +133,11 @@ GphtPredictor::predict() const
 void
 GphtPredictor::reset()
 {
-    std::fill(gphr.begin(), gphr.end(), INVALID_PHASE);
+    gphr = 0;
     gphr_fill = 0;
-    for (auto &entry : pht)
-        entry = PhtEntry{};
-    lru_clock = 0;
-    pending_train = -1;
+    std::fill(lru.begin(), lru.end(), SetLru{NIL, NIL, 0});
+    std::fill(index.begin(), index.end(), 0);
+    pending_train = NIL;
     current_prediction = INVALID_PHASE;
     counters = Stats{};
 }
@@ -137,129 +156,84 @@ size_t
 GphtPredictor::phtOccupancy() const
 {
     size_t valid = 0;
-    for (const auto &entry : pht)
-        if (entry.age >= 0)
-            ++valid;
+    for (const SetLru &set : lru)
+        valid += set.fill;
     return valid;
 }
 
 std::vector<PhaseId>
 GphtPredictor::gphrContents() const
 {
-    return gphr;
-}
-
-void
-GphtPredictor::saveState(std::ostream &os) const
-{
-    os << "GPHT-STATE 1\n";
-    // A fully associative table omits the set count, so states saved
-    // before the table had sets still load.
-    os << depth << ' ' << capacity;
-    if (num_sets != 1)
-        os << ' ' << num_sets;
-    os << '\n';
-    os << gphr_fill << ' ' << lru_clock << ' ' << pending_train
-       << ' ' << current_prediction << '\n';
-    for (PhaseId p : gphr)
-        os << p << ' ';
-    os << '\n';
-    for (const PhtEntry &entry : pht) {
-        os << entry.age << ' ' << entry.prediction;
-        if (entry.age >= 0) {
-            // Tags of invalid entries are empty; only valid ones
-            // carry depth phases.
-            for (PhaseId p : entry.tag)
-                os << ' ' << p;
-        }
-        os << '\n';
-    }
-}
-
-void
-GphtPredictor::loadState(std::istream &is)
-{
-    std::string magic;
-    int version = 0;
-    if (!(is >> magic >> version) || magic != "GPHT-STATE" ||
-        version != 1) {
-        fatal("GphtPredictor::loadState: bad header");
-    }
-    std::string geometry;
-    std::getline(is >> std::ws, geometry);
-    std::istringstream fields(geometry);
-    size_t saved_depth = 0, saved_capacity = 0, saved_sets = 1;
-    if (!(fields >> saved_depth >> saved_capacity))
-        fatal("GphtPredictor::loadState: truncated geometry");
-    if (!(fields >> saved_sets))
-        saved_sets = 1;
-    if (saved_depth != depth || saved_capacity != capacity ||
-        saved_sets != num_sets)
-        fatal("GphtPredictor::loadState: geometry mismatch "
-              "(saved %zux%zu/%zu, this %zux%zu/%zu)", saved_depth,
-              saved_capacity, saved_sets, depth, capacity, num_sets);
-    if (!(is >> gphr_fill >> lru_clock >> pending_train >>
-          current_prediction) ||
-        gphr_fill > depth ||
-        pending_train >= static_cast<int>(capacity)) {
-        fatal("GphtPredictor::loadState: corrupt predictor state");
-    }
-    for (PhaseId &p : gphr)
-        if (!(is >> p))
-            fatal("GphtPredictor::loadState: truncated GPHR");
-    for (PhtEntry &entry : pht) {
-        if (!(is >> entry.age >> entry.prediction))
-            fatal("GphtPredictor::loadState: truncated PHT");
-        entry.tag.clear();
-        if (entry.age >= 0) {
-            entry.tag.resize(depth);
-            for (PhaseId &p : entry.tag)
-                if (!(is >> p))
-                    fatal("GphtPredictor::loadState: truncated tag");
-        }
-    }
-    counters = Stats{};
+    std::vector<PhaseId> phases(depth);
+    for (size_t i = 0; i < depth; ++i)
+        phases[i] = static_cast<PhaseId>(
+            (gphr >> (i * PHASE_BITS)) & MAX_PHASE);
+    return phases;
 }
 
 size_t
-GphtPredictor::setBase() const
+GphtPredictor::setOf() const
 {
     if (num_sets == 1)
         return 0;
-    // FNV-1a over the history register; cheap and well mixed for
-    // the tiny phase alphabet.
+    // FNV-1a over the history register, newest phase first; cheap
+    // and well mixed for the tiny phase alphabet.
     uint64_t hash = 1469598103934665603ULL;
-    for (PhaseId p : gphr) {
-        hash ^= static_cast<uint64_t>(static_cast<uint32_t>(p));
+    for (size_t i = 0; i < depth; ++i) {
+        hash ^= (gphr >> (i * PHASE_BITS)) & MAX_PHASE;
         hash *= 1099511628211ULL;
     }
-    return static_cast<size_t>(hash % num_sets) * num_ways;
+    return static_cast<size_t>(hash % num_sets);
 }
 
-int
-GphtPredictor::lookup(size_t base) const
+size_t
+GphtPredictor::home(uint64_t tag) const
 {
-    for (size_t i = base; i < base + num_ways; ++i) {
-        if (pht[i].age >= 0 && pht[i].tag == gphr)
-            return static_cast<int>(i);
-    }
-    return -1;
+    // Fibonacci hashing: the top bits of the product depend on
+    // every bit of the tag.
+    return static_cast<size_t>((tag * 0x9e3779b97f4a7c15ULL) >>
+                               std::countl_zero(index.size() - 1));
 }
 
-int
-GphtPredictor::victimIndex(size_t base)
+void
+GphtPredictor::unindex(size_t hole)
 {
-    int victim = -1;
-    int64_t oldest = 0;
-    for (size_t i = base; i < base + num_ways; ++i) {
-        if (pht[i].age < 0)
-            return static_cast<int>(i); // invalid entry available
-        if (victim < 0 || pht[i].age < oldest) {
-            victim = static_cast<int>(i);
-            oldest = pht[i].age;
+    // Pull back every later chain member whose home bucket does not
+    // lie cyclically in (hole, i], so each stays reachable.
+    const size_t mask = index.size() - 1;
+    for (size_t i = (hole + 1) & mask; index[i] != 0;
+         i = (i + 1) & mask) {
+        const auto slot = static_cast<uint16_t>(index[i] - 1);
+        if (((i - home(pht[slot].tag)) & mask) >= ((i - hole) & mask)) {
+            index[hole] = index[i];
+            pht[slot].bucket = static_cast<uint16_t>(hole);
+            hole = i;
         }
     }
-    return victim;
+    index[hole] = 0;
+}
+
+void
+GphtPredictor::moveToFront(SetLru &set, uint16_t slot, bool linked)
+{
+    Slot &row = pht[slot];
+    if (linked) {
+        if (row.prev != NIL)
+            pht[row.prev].next = row.next;
+        else
+            set.head = row.next;
+        if (row.next != NIL)
+            pht[row.next].prev = row.prev;
+        else
+            set.tail = row.prev;
+    }
+    row.prev = NIL;
+    row.next = set.head;
+    if (set.head != NIL)
+        pht[set.head].prev = slot;
+    else
+        set.tail = slot;
+    set.head = slot;
 }
 
 } // namespace livephase

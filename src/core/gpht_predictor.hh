@@ -13,7 +13,7 @@
  * Per sampling period (driven from the PMI handler):
  *  1. the phase observed for the ending period is shifted into the
  *     GPHR;
- *  2. the GPHR is compared against all valid PHT tags;
+ *  2. the GPHR is looked up among the valid PHT tags;
  *  3. on a match the stored prediction is used, and that entry is
  *     re-trained next period with the phase that actually follows;
  *  4. on a mismatch the predictor falls back to last-value
@@ -25,19 +25,22 @@
  * phase patterns (loops) are captured exactly.
  *
  * Section 3.2 warns that "associatively searching through a 1024
- * entry PHT may be undesirable" and deploys 128 entries. The table
- * can also be split into `sets` buckets of `ways` entries: the GPHR
- * hashes to one set and only that set's ways are searched (LRU
- * within the set), bounding the lookup at O(ways) for any capacity
- * at the price of conflict misses. `sets == 1` is the paper's fully
- * associative table and skips the hash.
+ * entry PHT may be undesirable" and deploys 128 entries. Here no
+ * step searches: the GPHR is packed into one 64-bit word (4 bits per
+ * phase, so depth <= 16 and phases 0..15), and one open-addressed
+ * index maps each valid tag straight to its PHT slot. The table can
+ * also be split into `sets` buckets of `ways` entries: the GPHR
+ * hashes to one set and competes only with that set's ways for
+ * residency (LRU within the set, kept as an intrusive list), at the
+ * price of conflict misses. `sets == 1` is the paper's fully
+ * associative table and skips the hash. Every step is O(1) in both
+ * the table size and the geometry.
  */
 
 #ifndef LIVEPHASE_CORE_GPHT_PREDICTOR_HH
 #define LIVEPHASE_CORE_GPHT_PREDICTOR_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "core/predictor.hh"
@@ -51,6 +54,15 @@ namespace livephase
 class GphtPredictor : public PhasePredictor
 {
   public:
+    /** Bits per phase in the packed GPHR and PHT tags. */
+    static constexpr unsigned PHASE_BITS = 4;
+    /** Largest phase id a tag can hold. */
+    static constexpr PhaseId MAX_PHASE = (1 << PHASE_BITS) - 1;
+    /** Deepest GPHR a 64-bit tag can hold. */
+    static constexpr size_t MAX_DEPTH = 64 / PHASE_BITS;
+    /** Largest PHT whose slots and index buckets 16 bits address. */
+    static constexpr size_t MAX_ENTRIES = size_t(1) << 15;
+
     /** Aggregate lookup statistics, for evaluation and tests. */
     struct Stats
     {
@@ -62,9 +74,10 @@ class GphtPredictor : public PhasePredictor
 
     /**
      * @param gphr_depth  history length (paper default 8); fatal()
-     *                    when 0.
+     *                    when 0 or above MAX_DEPTH.
      * @param pht_entries table capacity (1024 evaluated, 128
-     *                    deployed); fatal() when 0.
+     *                    deployed); fatal() when 0 or above
+     *                    MAX_ENTRIES.
      * @param sets        hash buckets of pht_entries / sets ways
      *                    each (1 = fully associative); fatal() when
      *                    0 or when it does not divide pht_entries.
@@ -94,7 +107,7 @@ class GphtPredictor : public PhasePredictor
     /** Number of hash buckets (1 = fully associative). */
     size_t sets() const { return num_sets; }
 
-    /** Entries searched per lookup (phtEntries() / sets()). */
+    /** Entries per set (phtEntries() / sets()). */
     size_t ways() const { return num_ways; }
 
     /** Number of currently valid PHT entries. */
@@ -106,54 +119,53 @@ class GphtPredictor : public PhasePredictor
     /** Current GPHR contents, newest first (for logs/inspection). */
     std::vector<PhaseId> gphrContents() const;
 
-    /**
-     * Serialize the learned state (GPHR + PHT + LRU ordering) to a
-     * text stream, so a deployed module can warm-start the
-     * predictor across unload/reload instead of relearning every
-     * pattern ("reconfiguration after system deployment, with
-     * minimal intrusion" — paper Section 6.3).
-     */
-    void saveState(std::ostream &os) const;
-
-    /**
-     * Restore state saved by saveState(). fatal() when the stream
-     * is malformed or was saved from a predictor with different
-     * (depth, entries, sets) geometry.
-     */
-    void loadState(std::istream &is);
-
   private:
-    /** One PHT row: tag, prediction, LRU age (-1 = invalid). */
-    struct PhtEntry
+    /** One PHT row. Rows of a set are filled in index order and,
+     *  once valid, sit on the set's LRU list until reset(). */
+    struct Slot
     {
-        std::vector<PhaseId> tag;
-        PhaseId prediction = INVALID_PHASE;
-        int64_t age = -1;
+        uint64_t tag;        ///< packed GPHR the row was installed for
+        uint16_t prev, next; ///< LRU neighbours in the set, or NIL
+        uint16_t bucket;     ///< where the index holds this slot
+        uint8_t prediction;  ///< phase that followed it last time
     };
 
-    /** Non-virtual observe() body, the unit the batched loop
-     *  iterates without per-step dispatch. */
-    void step(const PhaseSample &sample);
+    /** The LRU list ends and fill count of one set. */
+    struct SetLru
+    {
+        uint16_t head; ///< most recently used slot, or NIL
+        uint16_t tail; ///< least recently used slot, or NIL
+        uint16_t fill; ///< valid ways (the next free way's offset)
+    };
 
-    /** First PHT index of the set the current GPHR maps to. */
-    size_t setBase() const;
+    static constexpr uint16_t NIL = 0xFFFF;
 
-    /** Index of the matching valid entry in the set, or -1. */
-    int lookup(size_t base) const;
+    /** Set the current GPHR maps to (FNV-1a over its phases). */
+    size_t setOf() const;
 
-    /** Index of the entry in the set to (re)fill: first invalid,
-     *  else LRU. */
-    int victimIndex(size_t base);
+    /** Home bucket of a tag in the index. */
+    size_t home(uint64_t tag) const;
+
+    /** Empty the index bucket `hole` (backward-shift deletion, so
+     *  probe chains never need tombstones). */
+    void unindex(size_t hole);
+
+    /** Make slot the set's most recently used entry, unlinking it
+     *  first when it is already on the list. */
+    void moveToFront(SetLru &set, uint16_t slot, bool linked);
 
     size_t depth;
     size_t capacity;
     size_t num_sets;
     size_t num_ways;
-    std::vector<PhaseId> gphr; ///< gphr[0] = most recent
+    uint64_t gphr; ///< PHASE_BITS per phase, newest lowest
     size_t gphr_fill;
-    std::vector<PhtEntry> pht;
-    int64_t lru_clock;
-    int pending_train; ///< PHT index awaiting next-phase training
+    std::vector<Slot> pht;
+    std::vector<SetLru> lru;
+    /** Open-addressed tag -> slot + 1 (0 = empty), a power of two
+     *  at least twice the capacity. */
+    std::vector<uint16_t> index;
+    uint16_t pending_train; ///< slot awaiting next-phase training
     PhaseId current_prediction;
     Stats counters;
 };

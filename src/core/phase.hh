@@ -25,6 +25,10 @@ constexpr PhaseId INVALID_PHASE = 0;
 /** Number of phase classes in the paper's Table 1. */
 constexpr int DEFAULT_NUM_PHASES = 6;
 
+/** Most phase classes a classifier may define: the GPHT packs each
+ *  phase id, INVALID_PHASE included, into 4 bits. */
+constexpr int MAX_PHASES = 15;
+
 /**
  * One monitored sample: the classified phase plus the raw metric it
  * was classified from (Mem/Uop). Statistical predictors that detect

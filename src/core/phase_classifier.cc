@@ -12,6 +12,9 @@ PhaseClassifier::PhaseClassifier(std::vector<double> upper_boundaries)
 {
     if (bounds.empty())
         fatal("PhaseClassifier requires at least one boundary");
+    if (bounds.size() >= MAX_PHASES)
+        fatal("PhaseClassifier: %zu boundaries define more than %d "
+              "phases", bounds.size(), MAX_PHASES);
     for (size_t i = 0; i < bounds.size(); ++i) {
         if (bounds[i] < 0.0)
             fatal("PhaseClassifier boundary %zu is negative (%f)", i,

@@ -38,7 +38,8 @@ class PhaseClassifier
     /**
      * @param upper_boundaries strictly increasing, non-negative
      *        phase upper bounds; N boundaries define N+1 phases.
-     *        fatal() when empty or not strictly increasing.
+     *        fatal() when empty, not strictly increasing, or
+     *        defining more than MAX_PHASES phases.
      */
     explicit PhaseClassifier(std::vector<double> upper_boundaries);
 

@@ -10,15 +10,6 @@ namespace livephase::obs
 namespace
 {
 
-size_t
-clampPhase(int phase)
-{
-    if (phase < 1)
-        return 0;
-    return std::min(static_cast<size_t>(phase - 1),
-                    PT_MAX_PHASES - 1);
-}
-
 double
 hitRate(uint64_t predictions, uint64_t mispredictions)
 {
@@ -52,25 +43,6 @@ appendf(std::string &out, const char *fmt, ...)
 }
 
 } // namespace
-
-void
-PhaseBatchDelta::addResidency(int phase, uint32_t n)
-{
-    residency[clampPhase(phase)] += n;
-}
-
-void
-PhaseBatchDelta::addTransition(int from, int to)
-{
-    matrix[clampPhase(from) * PT_MAX_PHASES + clampPhase(to)] += 1;
-}
-
-void
-PhaseBatchDelta::addDvfsAction(uint32_t index, uint32_t n)
-{
-    dvfs_actions[std::min(static_cast<size_t>(index),
-                          PT_MAX_ACTIONS - 1)] += n;
-}
 
 double
 PhaseTelemetrySnapshot::cumulativeHitRate() const

@@ -25,6 +25,7 @@
 #ifndef LIVEPHASE_OBS_PHASE_TELEMETRY_HH
 #define LIVEPHASE_OBS_PHASE_TELEMETRY_HH
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -56,9 +57,30 @@ struct PhaseBatchDelta
     std::array<uint32_t, PT_MAX_PHASES * PT_MAX_PHASES> matrix{};
     std::array<uint32_t, PT_MAX_ACTIONS> dvfs_actions{};
 
-    void addResidency(int phase, uint32_t n = 1);
-    void addTransition(int from, int to);
-    void addDvfsAction(uint32_t index, uint32_t n = 1);
+    // Inline: the session loop calls these for every interval.
+    void addResidency(int phase, uint32_t n = 1)
+    {
+        residency[slot(phase)] += n;
+    }
+    void addTransition(int from, int to)
+    {
+        matrix[slot(from) * PT_MAX_PHASES + slot(to)] += 1;
+    }
+    void addDvfsAction(uint32_t index, uint32_t n = 1)
+    {
+        dvfs_actions[std::min(static_cast<size_t>(index),
+                              PT_MAX_ACTIONS - 1)] += n;
+    }
+
+    /** Array index of a phase: 1-based phases at phase - 1, ids
+     *  below 1 in slot 0, ids past the end in the last slot. */
+    static size_t slot(int phase)
+    {
+        if (phase < 1)
+            return 0;
+        return std::min(static_cast<size_t>(phase - 1),
+                        PT_MAX_PHASES - 1);
+    }
 };
 
 /** Point-in-time copy of the fleet-wide phase telemetry. */

@@ -1,5 +1,7 @@
 #include "service/session.hh"
 
+#include <vector>
+
 #include "common/logging.hh"
 #include "fault/failpoint.hh"
 #include "obs/phase_telemetry.hh"
@@ -35,6 +37,12 @@ struct CoreCounters
         return c;
     }
 };
+
+/** Per-batch staging, one pair per thread rather than per session:
+ *  a thread runs one batch at a time, and the capacity is reused
+ *  across batches and sessions. */
+thread_local std::vector<PhaseSample> scratch_samples;
+thread_local std::vector<PhaseId> scratch_predictions;
 
 } // namespace
 
@@ -74,7 +82,7 @@ Session::processBatch(RecordView records, ResultSpan results)
     // span. Record order is preserved within every stage and only
     // the predictor consumes another stage's output (buffered in
     // `scratch_samples`), so this is bit-identical to the fused
-    // loop. The scratch vectors keep their capacity across batches.
+    // loop.
     scratch_samples.resize(records.size());
     scratch_predictions.resize(records.size());
     {
@@ -168,16 +176,6 @@ Session::processBatch(RecordView records, ResultSpan results)
     if (transitions)
         trans_total.fetch_add(transitions,
                               std::memory_order_relaxed);
-}
-
-std::vector<IntervalResult>
-Session::processBatch(const std::vector<IntervalRecord> &records)
-{
-    // Reserve the full result window up front; the span form then
-    // writes every slot exactly once.
-    std::vector<IntervalResult> results(records.size());
-    processBatch(RecordView(records), ResultSpan(results));
-    return results;
 }
 
 } // namespace livephase::service

@@ -24,7 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <vector>
+#include <string>
 
 #include "core/dvfs_policy.hh"
 #include "core/phase_classifier.hh"
@@ -72,14 +72,11 @@ class Session
      * cold, mirroring the deployed handler).
      *
      * Zero-allocation at steady state: classification and raw
-     * predictions go through member scratch vectors whose capacity
-     * survives across batches.
+     * predictions go through per-thread scratch vectors whose
+     * capacity survives across batches, so a session's own size does
+     * not grow with the largest batch it has seen.
      */
     void processBatch(RecordView records, ResultSpan results);
-
-    /** Owning convenience wrapper over the span form. */
-    std::vector<IntervalResult>
-    processBatch(const std::vector<IntervalRecord> &records);
 
     /** Total intervals this session has processed. */
     uint64_t intervalsProcessed() const
@@ -140,10 +137,6 @@ class Session
      *  mu), feeding the transition and misprediction counters. */
     PhaseId last_observed = INVALID_PHASE;
     PhaseId last_predicted = INVALID_PHASE;
-    /** Per-batch staging (guarded by mu); capacity is retained so
-     *  steady-state batches never allocate. */
-    std::vector<PhaseSample> scratch_samples;
-    std::vector<PhaseId> scratch_predictions;
     std::atomic<uint64_t> last_active{0};
     std::atomic<uint64_t> processed{0};
     /** Cumulative predictor-quality counters (relaxed; read by the

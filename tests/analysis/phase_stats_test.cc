@@ -1,15 +1,13 @@
 /**
  * @file
- * Tests for phase-behaviour statistics and GPHT state persistence.
+ * Tests for phase-behaviour statistics.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "analysis/phase_stats.hh"
-#include "core/gpht_predictor.hh"
 #include "workload/spec2000.hh"
 #include "test_util.hh"
 
@@ -124,102 +122,6 @@ TEST(PhaseStats, ValidationAndAccessors)
     EXPECT_FAILURE(stats.of(0));
     EXPECT_FAILURE(stats.of(7));
     EXPECT_DOUBLE_EQ(stats.transition_rate, 0.0);
-}
-
-TEST(GphtPersistence, SaveLoadRoundTripPreservesPredictions)
-{
-    for (size_t sets : {1, 16}) {
-        GphtPredictor original(8, 64, sets);
-        const std::vector<PhaseId> period{1, 1, 4, 4, 1, 1, 5, 5};
-        for (int rep = 0; rep < 30; ++rep)
-            for (PhaseId p : period)
-                original.observePhase(p);
-
-        std::stringstream state;
-        original.saveState(state);
-        GphtPredictor restored(8, 64, sets);
-        restored.loadState(state);
-
-        // Both predictors must now behave identically on a further
-        // pass over the pattern.
-        for (int rep = 0; rep < 3; ++rep) {
-            for (PhaseId p : period) {
-                original.observePhase(p);
-                restored.observePhase(p);
-                EXPECT_EQ(original.predict(), restored.predict());
-            }
-        }
-        EXPECT_EQ(original.phtOccupancy(), restored.phtOccupancy());
-        EXPECT_EQ(original.gphrContents(), restored.gphrContents());
-    }
-}
-
-TEST(GphtPersistence, WarmStartSkipsRelearning)
-{
-    // A freshly loaded predictor must predict the learned pattern
-    // correctly right away (modulo the one pending training step).
-    GphtPredictor trained(8, 64);
-    const std::vector<PhaseId> period{1, 2, 1, 6, 1, 2, 1, 5};
-    for (int rep = 0; rep < 40; ++rep)
-        for (PhaseId p : period)
-            trained.observePhase(p);
-    std::stringstream state;
-    trained.saveState(state);
-
-    GphtPredictor warm(8, 64);
-    warm.loadState(state);
-    int correct = 0, scored = 0;
-    PhaseId pending = warm.predict();
-    for (int rep = 0; rep < 4; ++rep) {
-        for (PhaseId p : period) {
-            if (pending != INVALID_PHASE) {
-                ++scored;
-                if (pending == p)
-                    ++correct;
-            }
-            warm.observePhase(p);
-            pending = warm.predict();
-        }
-    }
-    EXPECT_GE(correct, scored - 2);
-}
-
-TEST(GphtPersistence, RejectsCorruptOrMismatchedState)
-{
-    GphtPredictor p(8, 64);
-    {
-        std::stringstream garbage("not a state file");
-        EXPECT_FAILURE(p.loadState(garbage));
-    }
-    {
-        GphtPredictor other(4, 64);
-        std::stringstream state;
-        other.saveState(state);
-        EXPECT_FAILURE(p.loadState(state)); // depth mismatch
-    }
-    {
-        GphtPredictor other(8, 128);
-        std::stringstream state;
-        other.saveState(state);
-        EXPECT_FAILURE(p.loadState(state)); // capacity mismatch
-    }
-    {
-        GphtPredictor other(8, 64, 16);
-        std::stringstream state;
-        other.saveState(state);
-        EXPECT_FAILURE(p.loadState(state)); // sets mismatch
-        std::stringstream again;
-        p.saveState(again);
-        EXPECT_FAILURE(other.loadState(again));
-        GphtPredictor fewer_sets(8, 64, 8);
-        std::stringstream hashed;
-        other.saveState(hashed);
-        EXPECT_FAILURE(fewer_sets.loadState(hashed));
-    }
-    {
-        std::stringstream truncated("GPHT-STATE 1\n8 64\n");
-        EXPECT_FAILURE(p.loadState(truncated));
-    }
 }
 
 } // namespace

@@ -248,6 +248,21 @@ TEST(Gpht, InvalidConfigIsFatal)
 {
     EXPECT_FAILURE(GphtPredictor(0, 128));
     EXPECT_FAILURE(GphtPredictor(8, 0));
+    EXPECT_FAILURE(GphtPredictor(GphtPredictor::MAX_DEPTH + 1, 128));
+    EXPECT_FAILURE(GphtPredictor(8, GphtPredictor::MAX_ENTRIES + 1));
+}
+
+TEST(Gpht, PhaseOutsidePackedRangePanics)
+{
+    GphtPredictor p(GphtPredictor::MAX_DEPTH, 4);
+    for (int i = 0; i < 20; ++i)
+        p.observePhase(GphtPredictor::MAX_PHASE);
+    EXPECT_EQ(p.predict(), GphtPredictor::MAX_PHASE);
+    EXPECT_EQ(p.gphrContents(),
+              std::vector<PhaseId>(GphtPredictor::MAX_DEPTH,
+                                   GphtPredictor::MAX_PHASE));
+    EXPECT_FAILURE(p.observePhase(GphtPredictor::MAX_PHASE + 1));
+    EXPECT_FAILURE(p.observePhase(-1));
 }
 
 /**

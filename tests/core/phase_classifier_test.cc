@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/phase_classifier.hh"
 #include "test_util.hh"
 
@@ -69,6 +71,12 @@ TEST(PhaseClassifier, RejectsBadBoundaries)
     EXPECT_FAILURE(PhaseClassifier({0.01, 0.01}));
     EXPECT_FAILURE(PhaseClassifier({0.02, 0.01}));
     EXPECT_FAILURE(PhaseClassifier({-0.01, 0.01}));
+    std::vector<double> bounds;
+    for (int i = 1; i < MAX_PHASES; ++i)
+        bounds.push_back(0.01 * i);
+    EXPECT_EQ(PhaseClassifier(bounds).numPhases(), MAX_PHASES);
+    bounds.push_back(1.0);
+    EXPECT_FAILURE(PhaseClassifier{bounds});
 }
 
 TEST(PhaseClassifier, NegativeMetricPanics)

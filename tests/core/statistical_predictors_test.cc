@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "common/random.hh"
 #include "core/fixed_window_predictor.hh"
 #include "core/last_value_predictor.hh"
 #include "core/variable_window_predictor.hh"
@@ -59,6 +63,36 @@ TEST(FixedWindow, TieBreaksToMostRecent)
     p.observePhase(2);
     // 2 and 1 tie; 2 is more recent.
     EXPECT_EQ(p.predict(), 2);
+}
+
+TEST(FixedWindow, MajorityMatchesAFreshVoteOverTheWindow)
+{
+    // Running tallies must agree with counting the window afresh:
+    // the most frequent phase, ties to the one seen most recently.
+    Rng rng(11);
+    for (size_t window : {1, 2, 5, 8, 33}) {
+        FixedWindowPredictor p(window);
+        std::deque<PhaseId> recent; // newest first
+        for (int i = 0; i < 2000; ++i) {
+            const auto phase =
+                static_cast<PhaseId>(rng.uniformInt(1, 4));
+            p.observePhase(phase);
+            recent.push_front(phase);
+            if (recent.size() > window)
+                recent.pop_back();
+            PhaseId want = INVALID_PHASE;
+            long best = 0;
+            for (PhaseId q : recent) {
+                const long n = std::count(recent.begin(),
+                                          recent.end(), q);
+                if (n > best) {
+                    best = n;
+                    want = q;
+                }
+            }
+            ASSERT_EQ(p.predict(), want) << window << " at " << i;
+        }
+    }
 }
 
 TEST(FixedWindow, OldSamplesFallOut)

@@ -125,8 +125,10 @@ TEST(SessionManager, EvictedSessionSurvivesWhileHeld)
     // `first` was evicted from the store, but our shared_ptr keeps
     // the in-flight pipeline usable.
     EXPECT_EQ(manager.find(first->id()), nullptr);
-    const auto results = first->processBatch(someRecords(4));
-    EXPECT_EQ(results.size(), 4u);
+    const auto records = someRecords(4);
+    std::vector<IntervalResult> results(records.size());
+    first->processBatch(records, results);
+    EXPECT_EQ(first->intervalsProcessed(), 4u);
 }
 
 TEST(SessionManager, TtlExpiryOnFind)
@@ -219,9 +221,10 @@ TEST(SessionManager, SessionsDoNotSharePredictorState)
     // prototype clone shared state, B's first predictions would
     // reflect A's history.
     const auto pattern = someRecords(32);
-    const auto a_first = a->processBatch(pattern);
-    const auto b_first = b->processBatch(pattern);
-    ASSERT_EQ(a_first.size(), b_first.size());
+    std::vector<IntervalResult> a_first(pattern.size());
+    std::vector<IntervalResult> b_first(pattern.size());
+    a->processBatch(pattern, a_first);
+    b->processBatch(pattern, b_first);
     for (size_t i = 0; i < a_first.size(); ++i)
         EXPECT_EQ(a_first[i], b_first[i]) << "at interval " << i;
 }
