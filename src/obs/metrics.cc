@@ -54,13 +54,27 @@ Histogram::bucketUpperBound(size_t bucket)
 }
 
 void
-Histogram::record(double value)
+Histogram::record(double value, uint64_t weight)
+{
+    n.fetch_add(weight, std::memory_order_relaxed);
+    addToDistribution(value, weight);
+}
+
+void
+Histogram::recordSampled(double value, uint64_t weight)
+{
+    n.fetch_add(1, std::memory_order_relaxed);
+    addToDistribution(value, weight);
+}
+
+void
+Histogram::addToDistribution(double value, uint64_t weight)
 {
     buckets[bucketIndex(value)].fetch_add(
-        1, std::memory_order_relaxed);
-    n.fetch_add(1, std::memory_order_relaxed);
+        weight, std::memory_order_relaxed);
+    const double add = value * static_cast<double>(weight);
     double cur = total.load(std::memory_order_relaxed);
-    while (!total.compare_exchange_weak(cur, cur + value,
+    while (!total.compare_exchange_weak(cur, cur + add,
                                         std::memory_order_relaxed)) {
     }
     double m = peak.load(std::memory_order_relaxed);
@@ -96,12 +110,15 @@ Histogram::snapshot() const
 double
 HistogramSnapshot::quantile(double p) const
 {
-    if (count == 0)
+    uint64_t population = 0;
+    for (const uint64_t b : buckets)
+        population += b;
+    if (population == 0)
         return 0.0;
     p = std::clamp(p, 0.0, 100.0);
     // 1-based rank of the requested order statistic.
     const auto target = static_cast<uint64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(count)));
+        std::ceil(p / 100.0 * static_cast<double>(population)));
     const uint64_t rank = std::max<uint64_t>(target, 1);
     uint64_t seen = 0;
     for (size_t b = 0; b < buckets.size(); ++b) {

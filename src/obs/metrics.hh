@@ -125,6 +125,8 @@ struct HistogramSnapshot
     /**
      * Quantile estimate read off the buckets, linearly interpolated
      * inside the containing bucket and clamped to the exact max.
+     * Ranks count the buckets' population, which is `count` except
+     * for sampled streams (Histogram::recordSampled).
      * @param p percentile in [0, 100].
      */
     double quantile(double p) const;
@@ -139,9 +141,23 @@ struct HistogramSnapshot
 class Histogram
 {
   public:
-    /** Record one value; negative/NaN values clamp into the
-     *  underflow bucket. */
-    void record(double value);
+    /** Record one value standing for `weight` events (1 = just
+     *  itself); negative/NaN values clamp into the underflow
+     *  bucket. */
+    void record(double value, uint64_t weight = 1);
+
+    /**
+     * One event of a sampled stream that was measured and stands
+     * for `weight` events (itself and the unmeasured ones before
+     * it): the count grows by one, the buckets and the sum by
+     * `weight` copies of `value`. Its unmeasured events call
+     * countUnsampled(), so count() stays exact while the buckets,
+     * sum and max describe the sample (obs/span.hh).
+     */
+    void recordSampled(double value, uint64_t weight);
+
+    /** One event of a sampled stream that was not measured. */
+    void countUnsampled() { n.fetch_add(1, std::memory_order_relaxed); }
 
     /** Bucket index a value lands in. */
     static size_t bucketIndex(double value);
@@ -178,6 +194,9 @@ class Histogram
     void clear();
 
   private:
+    /** Buckets, sum and max; not the count. */
+    void addToDistribution(double value, uint64_t weight);
+
     std::array<std::atomic<uint64_t>, HISTOGRAM_BUCKETS> buckets{};
     std::atomic<uint64_t> n{0};
     std::atomic<double> total{0.0};

@@ -53,8 +53,10 @@ PhaseTelemetrySnapshot::cumulativeHitRate() const
 PhaseTelemetry &
 PhaseTelemetry::global()
 {
-    static PhaseTelemetry telemetry;
-    return telemetry;
+    // Never destroyed: a thread that exits after static destruction
+    // still hands its shard back (local()).
+    static PhaseTelemetry *const telemetry = new PhaseTelemetry;
+    return *telemetry;
 }
 
 PhaseTelemetry::PhaseTelemetry()
@@ -65,65 +67,81 @@ PhaseTelemetry::PhaseTelemetry()
 {
 }
 
-void
-PhaseTelemetry::recordBatch(const PhaseBatchDelta &delta)
+PhaseShard &
+PhaseTelemetry::local()
 {
-    if (delta.classified)
-        classified_total.fetch_add(delta.classified,
-                                   std::memory_order_relaxed);
-    if (delta.predictions) {
-        predictions_total.fetch_add(delta.predictions,
-                                    std::memory_order_relaxed);
-        pred_series.inc(delta.predictions);
+    // One lease per thread: taken on the thread's first batch,
+    // returned when the thread exits. Only global() exists, so the
+    // lease never needs to tell aggregators apart.
+    struct Lease
+    {
+        PhaseShard *shard = nullptr;
+        ~Lease()
+        {
+            if (shard != nullptr)
+                PhaseTelemetry::global().release(shard);
+        }
+    };
+    static thread_local Lease lease;
+    if (lease.shard == nullptr) {
+        std::lock_guard lock(mu);
+        if (idle.empty()) {
+            lease.shard =
+                shards.emplace_back(std::make_unique<PhaseShard>())
+                    .get();
+        } else {
+            lease.shard = idle.back();
+            idle.pop_back();
+        }
     }
-    if (delta.mispredictions) {
-        mispredictions_total.fetch_add(delta.mispredictions,
-                                       std::memory_order_relaxed);
-        miss_series.inc(delta.mispredictions);
-    }
-    if (delta.transitions)
-        transitions_total.fetch_add(delta.transitions,
-                                    std::memory_order_relaxed);
-    for (size_t p = 0; p < PT_MAX_PHASES; ++p) {
-        if (delta.residency[p])
-            residency[p].fetch_add(delta.residency[p],
-                                   std::memory_order_relaxed);
-    }
-    // Transitions are sparse within a batch (steady phases are the
-    // common case), so the nonzero sweep touches a handful of the
-    // 256 cells.
-    for (size_t c = 0; c < PT_MAX_PHASES * PT_MAX_PHASES; ++c) {
-        if (delta.matrix[c])
-            matrix[c].fetch_add(delta.matrix[c],
-                                std::memory_order_relaxed);
-    }
-    for (size_t a = 0; a < PT_MAX_ACTIONS; ++a) {
-        if (delta.dvfs_actions[a])
-            dvfs[a].fetch_add(delta.dvfs_actions[a],
-                              std::memory_order_relaxed);
-    }
+    return *lease.shard;
+}
+
+void
+PhaseTelemetry::release(PhaseShard *shard)
+{
+    std::lock_guard lock(mu);
+    idle.push_back(shard);
+}
+
+void
+PhaseTelemetry::recordBatch(PhaseShard &shard, uint64_t classified,
+                            uint64_t predictions,
+                            uint64_t mispredictions,
+                            uint64_t transitions)
+{
+    PhaseShard::add(shard.classified, classified);
+    PhaseShard::add(shard.predictions, predictions);
+    PhaseShard::add(shard.mispredictions, mispredictions);
+    PhaseShard::add(shard.transitions, transitions);
+    if (predictions)
+        pred_series.inc(predictions);
+    if (mispredictions)
+        miss_series.inc(mispredictions);
 }
 
 PhaseTelemetrySnapshot
 PhaseTelemetry::snapshot() const
 {
     PhaseTelemetrySnapshot snap;
-    snap.classified =
-        classified_total.load(std::memory_order_relaxed);
-    snap.predictions =
-        predictions_total.load(std::memory_order_relaxed);
-    snap.mispredictions =
-        mispredictions_total.load(std::memory_order_relaxed);
-    snap.transitions =
-        transitions_total.load(std::memory_order_relaxed);
-    for (size_t p = 0; p < PT_MAX_PHASES; ++p)
-        snap.residency[p] =
-            residency[p].load(std::memory_order_relaxed);
-    for (size_t c = 0; c < PT_MAX_PHASES * PT_MAX_PHASES; ++c)
-        snap.matrix[c] = matrix[c].load(std::memory_order_relaxed);
-    for (size_t a = 0; a < PT_MAX_ACTIONS; ++a)
-        snap.dvfs_actions[a] =
-            dvfs[a].load(std::memory_order_relaxed);
+    const auto sum = [](const PhaseShard::Cell &cell, uint64_t &out) {
+        out += cell.load(std::memory_order_relaxed);
+    };
+    {
+        std::lock_guard lock(mu);
+        for (const auto &shard : shards) {
+            sum(shard->classified, snap.classified);
+            sum(shard->predictions, snap.predictions);
+            sum(shard->mispredictions, snap.mispredictions);
+            sum(shard->transitions, snap.transitions);
+            for (size_t p = 0; p < PT_MAX_PHASES; ++p)
+                sum(shard->residency[p], snap.residency[p]);
+            for (size_t c = 0; c < PT_MAX_PHASES * PT_MAX_PHASES; ++c)
+                sum(shard->matrix[c], snap.matrix[c]);
+            for (size_t a = 0; a < PT_MAX_ACTIONS; ++a)
+                sum(shard->dvfs[a], snap.dvfs_actions[a]);
+        }
+    }
 
     const double slot_s =
         static_cast<double>(
@@ -142,6 +160,37 @@ PhaseTelemetry::snapshot() const
     snap.hit_rate_10s = hitRate(snap.pred_10s.count, m10.count);
     snap.hit_rate_60s = hitRate(snap.pred_60s.count, m60.count);
     return snap;
+}
+
+void
+PhaseTelemetry::refreshCoreCounters()
+{
+    std::lock_guard lock(mu);
+    std::array<uint64_t, 4> totals{};
+    for (const auto &shard : shards) {
+        totals[0] += shard->classified.load(std::memory_order_relaxed);
+        totals[1] += shard->transitions.load(std::memory_order_relaxed);
+        totals[2] += shard->predictions.load(std::memory_order_relaxed);
+        totals[3] +=
+            shard->mispredictions.load(std::memory_order_relaxed);
+    }
+    if (totals[0] == 0)
+        return; // registered with the first batch, as before
+    MetricsRegistry &reg = MetricsRegistry::global();
+    static Counter *const core[] = {
+        &reg.counter("livephase_core_intervals_classified_total"),
+        &reg.counter("livephase_core_phase_transitions_total"),
+        &reg.counter("livephase_core_predictions_total"),
+        &reg.counter("livephase_core_mispredictions_total"),
+    };
+    for (size_t k = 0; k < totals.size(); ++k) {
+        // Below the last publish means the shards were reset: all
+        // of the new total is new.
+        core[k]->inc(totals[k] >= published[k]
+                         ? totals[k] - published[k]
+                         : totals[k]);
+        published[k] = totals[k];
+    }
 }
 
 std::string
@@ -256,16 +305,19 @@ PhaseTelemetry::renderPrometheus() const
 void
 PhaseTelemetry::resetForTest()
 {
-    classified_total.store(0, std::memory_order_relaxed);
-    predictions_total.store(0, std::memory_order_relaxed);
-    mispredictions_total.store(0, std::memory_order_relaxed);
-    transitions_total.store(0, std::memory_order_relaxed);
-    for (auto &a : residency)
-        a.store(0, std::memory_order_relaxed);
-    for (auto &a : matrix)
-        a.store(0, std::memory_order_relaxed);
-    for (auto &a : dvfs)
-        a.store(0, std::memory_order_relaxed);
+    std::lock_guard lock(mu);
+    for (const auto &shard : shards) {
+        shard->classified.store(0, std::memory_order_relaxed);
+        shard->predictions.store(0, std::memory_order_relaxed);
+        shard->mispredictions.store(0, std::memory_order_relaxed);
+        shard->transitions.store(0, std::memory_order_relaxed);
+        for (auto &a : shard->residency)
+            a.store(0, std::memory_order_relaxed);
+        for (auto &a : shard->matrix)
+            a.store(0, std::memory_order_relaxed);
+        for (auto &a : shard->dvfs)
+            a.store(0, std::memory_order_relaxed);
+    }
 }
 
 } // namespace livephase::obs

@@ -15,11 +15,11 @@
  *  - DVFS-action attribution (intervals that drove each DVFS
  *    operating point, i.e. what the power policy actually did).
  *
- * Hot-path contract: sessions accumulate a PhaseBatchDelta on the
- * stack while holding their own lock, then flush it here with one
- * relaxed atomic add per *nonzero* cell — no locks, no allocation,
- * nothing proportional to batch size. Exposition walks the atomics
- * and renders; it never blocks writers.
+ * Hot-path contract: every thread that records owns a PhaseShard
+ * and adds into it directly while the session holds its own lock.
+ * A shard has one writer, so an add is a plain load and store (no
+ * locked read-modify-write, no allocation, no flush); exposition
+ * sums the shards with relaxed loads and never blocks writers.
  */
 
 #ifndef LIVEPHASE_OBS_PHASE_TELEMETRY_HH
@@ -29,7 +29,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "obs/timeseries.hh"
 
@@ -44,43 +47,62 @@ constexpr size_t PT_MAX_PHASES = 16;
 /** DVFS operating points tracked (Pentium-M table has 6). */
 constexpr size_t PT_MAX_ACTIONS = 16;
 
-/** One batch's worth of phase-quality deltas, accumulated on the
- *  session's stack and flushed in a single call. */
-struct PhaseBatchDelta
+/**
+ * One thread's share of the fleet-wide phase telemetry. Only the
+ * thread that leased it (PhaseTelemetry::local()) writes it, so the
+ * adds need no atomic read-modify-write; the cells are atomics only
+ * so that snapshot() may read them while the owner writes.
+ */
+class alignas(64) PhaseShard
 {
-    uint64_t classified = 0;
-    uint64_t predictions = 0;
-    uint64_t mispredictions = 0;
-    uint64_t transitions = 0;
-    std::array<uint32_t, PT_MAX_PHASES> residency{};
-    /** Row-major [from][to], 1-based phases at index phase-1. */
-    std::array<uint32_t, PT_MAX_PHASES * PT_MAX_PHASES> matrix{};
-    std::array<uint32_t, PT_MAX_ACTIONS> dvfs_actions{};
-
-    // Inline: the session loop calls these for every interval.
-    void addResidency(int phase, uint32_t n = 1)
+  public:
+    // Inline: the session loops call these once per phase run,
+    // transition or interval.
+    void addResidency(int phase, uint64_t n = 1)
     {
-        residency[slot(phase)] += n;
+        add(residency[slot(phase)], n);
     }
     void addTransition(int from, int to)
     {
-        matrix[slot(from) * PT_MAX_PHASES + slot(to)] += 1;
+        add(matrix[slot(from) * PT_MAX_PHASES + slot(to)], 1);
     }
-    void addDvfsAction(uint32_t index, uint32_t n = 1)
+    void addDvfsAction(uint32_t index, uint64_t n = 1)
     {
-        dvfs_actions[std::min(static_cast<size_t>(index),
-                              PT_MAX_ACTIONS - 1)] += n;
+        add(dvfs[std::min(static_cast<size_t>(index),
+                          PT_MAX_ACTIONS - 1)],
+            n);
     }
 
     /** Array index of a phase: 1-based phases at phase - 1, ids
      *  below 1 in slot 0, ids past the end in the last slot. */
     static size_t slot(int phase)
     {
-        if (phase < 1)
-            return 0;
-        return std::min(static_cast<size_t>(phase - 1),
-                        PT_MAX_PHASES - 1);
+        // One compare on the hot path: valid phases fit directly.
+        const size_t s = static_cast<size_t>(phase) - 1;
+        if (s < PT_MAX_PHASES) [[likely]]
+            return s;
+        return phase < 1 ? 0 : PT_MAX_PHASES - 1;
     }
+
+  private:
+    friend class PhaseTelemetry;
+
+    using Cell = std::atomic<uint64_t>;
+
+    static void add(Cell &cell, uint64_t n)
+    {
+        cell.store(cell.load(std::memory_order_relaxed) + n,
+                   std::memory_order_relaxed);
+    }
+
+    Cell classified{0};
+    Cell predictions{0};
+    Cell mispredictions{0};
+    Cell transitions{0};
+    std::array<Cell, PT_MAX_PHASES> residency{};
+    /** Row-major [from][to], 1-based phases at index phase-1. */
+    std::array<Cell, PT_MAX_PHASES * PT_MAX_PHASES> matrix{};
+    std::array<Cell, PT_MAX_ACTIONS> dvfs{};
 };
 
 /** Point-in-time copy of the fleet-wide phase telemetry. */
@@ -102,22 +124,38 @@ struct PhaseTelemetrySnapshot
 };
 
 /**
- * Process-global phase-quality aggregator. All sessions flush into
- * one instance; the transition matrix and residency arrays are
- * fixed-size atomics, so recording is wait-free and exposition is
- * a plain load sweep.
+ * Process-global phase-quality aggregator: one PhaseShard per
+ * recording thread, summed on read. A shard outlives its thread and
+ * is handed to the next new thread, so the shard count follows the
+ * peak number of live recording threads.
  */
 class PhaseTelemetry
 {
   public:
     static PhaseTelemetry &global();
 
-    PhaseTelemetry();
+    PhaseTelemetry(const PhaseTelemetry &) = delete;
+    PhaseTelemetry &operator=(const PhaseTelemetry &) = delete;
 
-    /** Flush one batch's deltas (relaxed adds on nonzero cells). */
-    void recordBatch(const PhaseBatchDelta &delta);
+    /** The calling thread's shard (leased on first use). */
+    PhaseShard &local();
+
+    /** Close one batch: its totals into `shard` (the caller's
+     *  local()) and the windowed prediction series. */
+    void recordBatch(PhaseShard &shard, uint64_t classified,
+                     uint64_t predictions, uint64_t mispredictions,
+                     uint64_t transitions);
 
     PhaseTelemetrySnapshot snapshot() const;
+
+    /**
+     * Bring the flat `livephase_core_*_total` registry counters up
+     * to the fleet totals. The hot path counts only into the
+     * shards; exposition calls this before reading the registry.
+     * A reset (resetForTest) is carried over, so the counters
+     * never go backwards.
+     */
+    void refreshCoreCounters();
 
     /**
      * Render the snapshot as JSON (query-phases response body and
@@ -136,20 +174,22 @@ class PhaseTelemetry
      */
     std::string renderPrometheus() const;
 
-    /** Reset all cells and windows — tests only (not thread-safe
-     *  against concurrent recordBatch). */
+    /** Zero every shard — tests only (not thread-safe against
+     *  concurrent recording). Windows are left alone. */
     void resetForTest();
 
   private:
-    std::atomic<uint64_t> classified_total{0};
-    std::atomic<uint64_t> predictions_total{0};
-    std::atomic<uint64_t> mispredictions_total{0};
-    std::atomic<uint64_t> transitions_total{0};
-    std::array<std::atomic<uint64_t>, PT_MAX_PHASES> residency{};
-    std::array<std::atomic<uint64_t>,
-               PT_MAX_PHASES * PT_MAX_PHASES>
-        matrix{};
-    std::array<std::atomic<uint64_t>, PT_MAX_ACTIONS> dvfs{};
+    PhaseTelemetry();
+
+    /** Return a departed thread's shard for reuse. */
+    void release(PhaseShard *shard);
+
+    mutable std::mutex mu; ///< the shard lists, not shard contents
+    std::vector<std::unique_ptr<PhaseShard>> shards; ///< all
+    std::vector<PhaseShard *> idle; ///< released, awaiting a thread
+    /** Totals last published by refreshCoreCounters() (under mu):
+     *  classified, transitions, predictions, mispredictions. */
+    std::array<uint64_t, 4> published{};
     /** Windowed counters, registered in MetricsRegistry under
      *  "core.predictions" / "core.mispredictions" so watchdog rules
      *  can reference them by name. */

@@ -13,11 +13,23 @@
  * thread's span stack, so flight-recorder events record *where* in
  * the pipeline they happened (see obs/flight_recorder.hh).
  *
+ * Every pass is counted, but only one pass in SPAN_SAMPLE_PERIOD
+ * per site and thread is timed (the first always): a clock read
+ * costs about as much as a whole pipeline stage of a small batch,
+ * so timing every pass would make the instrument dearer than what
+ * it measures. The timed pass records its duration with the weight
+ * of the passes it stands for (Histogram::recordSampled), so the
+ * count is exact and the sum and quantiles are estimates from a
+ * uniform sample.
+ *
  * Cost model:
  *  - compiled out entirely with -DLIVEPHASE_OBS_DISABLED;
  *  - runtime-disabled (the default): one relaxed atomic load and a
  *    predicted-not-taken branch;
- *  - enabled: two steady-clock reads plus one histogram record.
+ *  - enabled: a thread-local pass count and one atomic add; on a
+ *    timed pass, two steady-clock reads plus one histogram record
+ *    (back-to-back stages chained with OBS_SPAN_FROM share the read
+ *    at each boundary).
  *
  * bench_obs_overhead holds the enabled end-to-end cost under the 5%
  * budget DESIGN.md §11 commits to.
@@ -65,10 +77,20 @@ cycleAttributionEnabled()
  */
 bool setCycleAttribution(bool on);
 
+/** One pass in this many is timed, per span site and thread. */
+constexpr uint64_t SPAN_SAMPLE_PERIOD = 64;
+
+/** Clock and TSC readings at a span boundary (0 = not read). */
+struct SpanStamp
+{
+    uint64_t ns = 0;
+    uint64_t cycles = 0;
+};
+
 /**
- * RAII span: times its scope into `hist` and keeps `name` on the
- * thread's span stack while alive. No-op when obs is disabled at
- * construction time.
+ * RAII span: counts its scope into `hist`, times it on sampled
+ * passes, and keeps `name` on the thread's span stack while alive.
+ * No-op when obs is disabled at construction time.
  *
  * When the thread carries a sampled trace context (obs/trace.hh),
  * the scope additionally becomes a trace span of the same name
@@ -78,45 +100,73 @@ bool setCycleAttribution(bool on);
 class Span
 {
   public:
-    /** `cycle_site` is the OBS_SPAN site's lazily resolved
+    /** `passes` is the site's per-thread pass count, which picks
+     *  the timed passes. `cycle_site` is the site's lazily resolved
      *  `cycles.<name>` series slot; null opts the site out of
-     *  cycle attribution entirely. */
-    Span(const char *name, Histogram &histogram,
-         std::atomic<WindowedHistogram *> *cycle_site = nullptr)
+     *  cycle attribution entirely. A nonzero field of `start` is
+     *  taken as the span's opening reading in place of a fresh
+     *  clock / TSC read (see end()). */
+    Span(const char *name, Histogram &histogram, uint64_t &passes,
+         std::atomic<WindowedHistogram *> *cycle_site = nullptr,
+         SpanStamp start = {})
         : tspan(name)
     {
-        if (enabled()) {
-            hist = &histogram;
-            start_ns = monoNowNs();
-            pushSpan(name);
-            if (cycle_site != nullptr && cycleAttributionEnabled()) {
-                WindowedHistogram *w =
-                    cycle_site->load(std::memory_order_acquire);
-                if (w == nullptr) {
-                    /* One registry lookup per site, and only on
-                     * the first pass with attribution live — the
-                     * attribution-off hot path never touches the
-                     * registry. */
-                    w = &spanCycleSeries(name);
-                    cycle_site->store(w, std::memory_order_release);
-                }
-                cycles_out = w;
-                start_cycles = rdcycles();
+        if (!enabled())
+            return;
+        hist = &histogram;
+        pushSpan(name);
+        const uint64_t pass = passes++;
+        if (pass % SPAN_SAMPLE_PERIOD != 0)
+            return;
+        weight = pass == 0 ? 1 : SPAN_SAMPLE_PERIOD;
+        start_ns = start.ns != 0 ? start.ns : monoNowNs();
+        if (cycle_site != nullptr && cycleAttributionEnabled()) {
+            WindowedHistogram *w =
+                cycle_site->load(std::memory_order_acquire);
+            if (w == nullptr) {
+                /* One registry lookup per site, and only on the
+                 * first pass with attribution live — the
+                 * attribution-off hot path never touches the
+                 * registry. */
+                w = &spanCycleSeries(name);
+                cycle_site->store(w, std::memory_order_release);
             }
+            cycles_out = w;
+            start_cycles = start.cycles != 0 ? start.cycles : rdcycles();
         }
     }
 
-    ~Span()
+    ~Span() { end(); }
+
+    /**
+     * Close the span now instead of at scope exit. Returns the
+     * closing readings of a timed pass so a stage that starts right
+     * here can open from them (OBS_SPAN_FROM) without reading the
+     * clock again; all zero otherwise. Idempotent.
+     */
+    SpanStamp end()
     {
+        SpanStamp now;
         if (hist) {
             popSpan();
-            if (cycles_out != nullptr) {
-                cycles_out->record(static_cast<double>(
-                    rdcycles() - start_cycles));
+            if (weight == 0) {
+                hist->countUnsampled();
+            } else {
+                if (cycles_out != nullptr) {
+                    now.cycles = rdcycles();
+                    cycles_out->record(
+                        static_cast<double>(now.cycles - start_cycles),
+                        weight);
+                }
+                now.ns = monoNowNs();
+                hist->recordSampled(
+                    static_cast<double>(now.ns - start_ns) / 1e3,
+                    weight);
             }
-            hist->record(
-                static_cast<double>(monoNowNs() - start_ns) / 1e3);
+            hist = nullptr;
         }
+        tspan.end();
+        return now;
     }
 
     Span(const Span &) = delete;
@@ -129,6 +179,8 @@ class Span
   private:
     TraceSpan tspan;
     Histogram *hist = nullptr;
+    /** Passes this timed pass stands for; 0 = not timed. */
+    uint64_t weight = 0;
     WindowedHistogram *cycles_out = nullptr;
     uint64_t start_ns = 0;
     uint64_t start_cycles = 0;
@@ -140,23 +192,44 @@ class Span
 #define LIVEPHASE_OBS_CONCAT(a, b) LIVEPHASE_OBS_CONCAT2(a, b)
 
 #ifdef LIVEPHASE_OBS_DISABLED
+namespace livephase::obs
+{
+/** What OBS_SPAN_FROM declares when obs is compiled out. */
+struct NullSpan
+{
+    explicit NullSpan(SpanStamp) {}
+    SpanStamp end() { return {}; }
+};
+} // namespace livephase::obs
 #define OBS_SPAN(name) ((void)0)
+#define OBS_SPAN_FROM(var, name, ...)                                \
+    ::livephase::obs::NullSpan var { (__VA_ARGS__) }
 #else
-/** Time the enclosing scope as span `name` (a string literal).
- *  The per-site atomic caches the `cycles.<name>` windowed series
- *  once cycle attribution first sees the site (see Span). */
-#define OBS_SPAN(name)                                               \
+/** Span `var` timing its scope as span `name` (a string literal),
+ *  opening from the SpanStamp after it (`{}` reads the clock). The
+ *  per-site statics hold the site's histogram, its per-thread pass
+ *  count, and the `cycles.<name>` windowed series once cycle
+ *  attribution first sees the site (see Span). Back-to-back
+ *  stages chain as `OBS_SPAN_FROM(b, "b", a.end())`, one clock read
+ *  per boundary. */
+#define OBS_SPAN_FROM(var, name, ...)                                \
     static ::livephase::obs::Histogram &LIVEPHASE_OBS_CONCAT(        \
-        obs_span_hist_, __LINE__) =                                  \
-        ::livephase::obs::spanHistogram(name);                       \
+        var, _obs_hist) = ::livephase::obs::spanHistogram(name);     \
+    static thread_local uint64_t LIVEPHASE_OBS_CONCAT(var,           \
+                                                      _obs_passes);  \
     static ::std::atomic<::livephase::obs::WindowedHistogram *>      \
-        LIVEPHASE_OBS_CONCAT(obs_span_cycles_, __LINE__){nullptr};   \
-    ::livephase::obs::Span LIVEPHASE_OBS_CONCAT(obs_span_,           \
-                                                __LINE__)            \
+        LIVEPHASE_OBS_CONCAT(var, _obs_cycles){nullptr};             \
+    ::livephase::obs::Span var                                       \
     {                                                                \
-        (name), LIVEPHASE_OBS_CONCAT(obs_span_hist_, __LINE__),      \
-            &LIVEPHASE_OBS_CONCAT(obs_span_cycles_, __LINE__)        \
+        (name), LIVEPHASE_OBS_CONCAT(var, _obs_hist),                \
+            LIVEPHASE_OBS_CONCAT(var, _obs_passes),                  \
+            &LIVEPHASE_OBS_CONCAT(var, _obs_cycles), (__VA_ARGS__)   \
     }
+
+/** Time the enclosing scope as span `name` (a string literal). */
+#define OBS_SPAN(name)                                               \
+    OBS_SPAN_FROM(LIVEPHASE_OBS_CONCAT(obs_span_, __LINE__), name,   \
+                  ::livephase::obs::SpanStamp{})
 #endif
 
 #endif // LIVEPHASE_OBS_SPAN_HH

@@ -79,11 +79,11 @@ class WindowedHistogram
   public:
     WindowedHistogram() = default;
 
-    /** Record into the live cell. */
-    void record(double value)
+    /** Record into the live cell (`weight` as Histogram::record). */
+    void record(double value, uint64_t weight = 1)
     {
         cells[epoch.load(std::memory_order_relaxed) % TS_SLOTS]
-            .record(value);
+            .record(value, weight);
     }
 
     /** Merged snapshot over the live cell + last `slots` closed

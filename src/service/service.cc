@@ -438,12 +438,15 @@ LivePhaseService::handleFrameInto(ByteView request_frame,
     // the wire trace context is only known *after* parsing.
     static obs::Histogram &handle_hist =
         obs::spanHistogram("service.handle");
+    static thread_local uint64_t handle_passes = 0;
     static std::atomic<obs::WindowedHistogram *> handle_cycles{
         nullptr};
-    obs::Span span("service.handle", handle_hist, &handle_cycles);
     // Seamed clock, not steady_clock directly: this latency feeds
-    // retryAfterMs(), which must run on virtual time under sim.
+    // retryAfterMs(), which must run on virtual time under sim. The
+    // span opens and closes on the same readings.
     const uint64_t start_ns = obs::monoNowNs();
+    obs::Span span("service.handle", handle_hist, handle_passes,
+                   &handle_cycles, obs::SpanStamp{start_ns, 0});
 
     // Request-scoped scratch: the parse's copying-decode fallback
     // and staging draw from a per-thread arena that is reset (not
@@ -457,7 +460,8 @@ LivePhaseService::handleFrameInto(ByteView request_frame,
     {
         // Parse gets its own stage so cycle attribution separates
         // wire decode from pipeline work (obs/profiler.hh).
-        OBS_SPAN("service.parse");
+        OBS_SPAN_FROM(parse_span, "service.parse",
+                      obs::SpanStamp{start_ns, 0});
         parse_status =
             parseRequest(request_frame, scratch_arena, parsed);
     }
@@ -497,22 +501,26 @@ LivePhaseService::handleFrameInto(ByteView request_frame,
         }
     }
 
-    // Adopt the wire trace context (if any) for the dispatch — the
-    // service.handle trace span and the pipeline spans under it
-    // then nest beneath the client's per-attempt span.
-    obs::ScopedTrace adopt(obs::TraceContext{
-        parsed.trace.trace_id, parsed.trace.parent_span_id});
-    obs::TraceSpan tspan("service.handle");
-    if (tspan.sampled()) {
-        tspan.annotate({"op", opName(parsed.header.op)});
-        if (enqueue_ns != 0)
-            tspan.annotate({"queue_wait_us",
-                            (obs::monoNowNs() - enqueue_ns) / 1e3});
+    {
+        // Adopt the wire trace context (if any) for the dispatch —
+        // the service.handle trace span and the pipeline spans under
+        // it then nest beneath the client's per-attempt span.
+        obs::ScopedTrace adopt(obs::TraceContext{
+            parsed.trace.trace_id, parsed.trace.parent_span_id});
+        obs::TraceSpan tspan("service.handle");
+        if (tspan.sampled()) {
+            tspan.annotate({"op", opName(parsed.header.op)});
+            if (enqueue_ns != 0)
+                tspan.annotate({"queue_wait_us",
+                                (obs::monoNowNs() - enqueue_ns) / 1e3});
+        }
+        dispatch(parsed, response);
     }
-
-    dispatch(parsed, response);
+    uint64_t end_ns = span.end().ns;
+    if (end_ns == 0) // not a timed pass
+        end_ns = obs::monoNowNs();
     const double micros =
-        static_cast<double>(obs::monoNowNs() - start_ns) / 1e3;
+        static_cast<double>(end_ns - start_ns) / 1e3;
     counters.opLatency(parsed.header.op, micros);
     // Drain-rate estimate behind retryAfterMs(). Racy read-modify-
     // write by design: a lost update skews an advisory EWMA by one
@@ -650,6 +658,7 @@ LivePhaseService::metricsText(uint16_t raw_format) const
     }
 
     obs::refreshRuntimeMetrics(); // build info + uptime gauges
+    obs::PhaseTelemetry::global().refreshCoreCounters();
     obs::MetricsSnapshot snap =
         obs::MetricsRegistry::global().snapshot();
     counters.fillMetrics(snap, manager.openCount(),

@@ -4,6 +4,8 @@
  * disabled, nested span paths, and the runtime helpers backing them.
  */
 
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hh"
@@ -46,6 +48,27 @@ TEST(Span, RecordsDurationWhenEnabled)
     EXPECT_NE(MetricsRegistry::global().snapshot().find(
                   "livephase_span_us{span=\"test.enabled_span\"}"),
               nullptr);
+}
+
+TEST(Span, CountsEveryPassAndTimesOneInPeriod)
+{
+    ScopedObsEnable on(true);
+    Histogram &hist = spanHistogram("test.sampled_span");
+    const uint64_t passes = 3 * SPAN_SAMPLE_PERIOD + 5;
+    // A fresh thread starts the site's pass count at zero.
+    std::thread([&] {
+        for (uint64_t i = 0; i < passes; ++i) {
+            OBS_SPAN("test.sampled_span");
+        }
+    }).join();
+    const HistogramSnapshot snap = hist.snapshot();
+    EXPECT_EQ(snap.count, passes);
+    // Timed passes 0, P, 2P, 3P stand for 1 + 3P passes; the four
+    // after the last timed one are counted but not yet weighed.
+    uint64_t population = 0;
+    for (const uint64_t b : snap.buckets)
+        population += b;
+    EXPECT_EQ(population, 1 + 3 * SPAN_SAMPLE_PERIOD);
 }
 
 TEST(Span, NoRecordingWhenDisabled)

@@ -215,17 +215,13 @@ TEST(PhaseTelemetry, BatchDeltaFlushAndSnapshot)
         reg.windowedCounter("core.mispredictions").rotate();
     }
 
-    PhaseBatchDelta delta;
-    delta.classified = 10;
-    delta.predictions = 9;
-    delta.mispredictions = 3;
-    delta.transitions = 2;
-    delta.addResidency(3, 7);
-    delta.addResidency(5, 3);
-    delta.addTransition(3, 5);
-    delta.addTransition(5, 3);
-    delta.addDvfsAction(2, 10);
-    pt.recordBatch(delta);
+    PhaseShard &shard = pt.local();
+    shard.addResidency(3, 7);
+    shard.addResidency(5, 3);
+    shard.addTransition(3, 5);
+    shard.addTransition(5, 3);
+    shard.addDvfsAction(2, 10);
+    pt.recordBatch(shard, 10, 9, 3, 2);
 
     const PhaseTelemetrySnapshot snap = pt.snapshot();
     EXPECT_EQ(snap.classified, 10u);
@@ -258,14 +254,44 @@ TEST(PhaseTelemetry, BatchDeltaFlushAndSnapshot)
     pt.resetForTest();
 }
 
+TEST(PhaseTelemetry, ThreadShardsSumInSnapshot)
+{
+    auto &pt = PhaseTelemetry::global();
+    pt.resetForTest();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&pt] {
+            PhaseShard &shard = pt.local();
+            shard.addResidency(2, 5);
+            shard.addTransition(2, 4);
+            shard.addDvfsAction(1, 5);
+            pt.recordBatch(shard, 5, 4, 1, 1);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    // A thread started after the others exited reuses a shard and
+    // adds to what it already holds.
+    std::thread([&pt] { pt.local().addResidency(2, 1); }).join();
+
+    const PhaseTelemetrySnapshot snap = pt.snapshot();
+    EXPECT_EQ(snap.classified, 20u);
+    EXPECT_EQ(snap.predictions, 16u);
+    EXPECT_EQ(snap.mispredictions, 4u);
+    EXPECT_EQ(snap.transitions, 4u);
+    EXPECT_EQ(snap.residency[1], 21u);
+    EXPECT_EQ(snap.matrix[1 * PT_MAX_PHASES + 3], 4u);
+    EXPECT_EQ(snap.dvfs_actions[1], 20u);
+    pt.resetForTest();
+}
+
 TEST(PhaseTelemetry, OutOfRangePhasesFoldIntoEdgeSlots)
 {
     auto &pt = PhaseTelemetry::global();
     pt.resetForTest();
-    PhaseBatchDelta delta;
-    delta.addResidency(0);   // invalid -> slot 0
-    delta.addResidency(999); // overflow -> last slot
-    pt.recordBatch(delta);
+    PhaseShard &shard = pt.local();
+    shard.addResidency(0);   // invalid -> slot 0
+    shard.addResidency(999); // overflow -> last slot
     const PhaseTelemetrySnapshot snap = pt.snapshot();
     EXPECT_EQ(snap.residency[0], 1u);
     EXPECT_EQ(snap.residency[PT_MAX_PHASES - 1], 1u);

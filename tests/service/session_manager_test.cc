@@ -5,10 +5,14 @@
  * clock, and the eviction/expiry counters.
  */
 
+#include <array>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
+#include "obs/phase_telemetry.hh"
+#include "obs/runtime.hh"
 #include "service/session_manager.hh"
 
 using namespace livephase;
@@ -227,6 +231,59 @@ TEST(SessionManager, SessionsDoNotSharePredictorState)
     b->processBatch(pattern, b_first);
     for (size_t i = 0; i < a_first.size(); ++i)
         EXPECT_EQ(a_first[i], b_first[i]) << "at interval " << i;
+}
+
+TEST(SessionManager, PhaseTelemetryMatchesBatchResults)
+{
+    // Residency, transitions and DVFS actions are counted per run,
+    // per transition and per miss rather than per interval; they
+    // must still equal the per-interval counts of the results.
+    const bool was = obs::enabled();
+    obs::setEnabled(true);
+    auto &pt = obs::PhaseTelemetry::global();
+    for (PredictorKind kind :
+         {PredictorKind::Gpht, PredictorKind::LastValue,
+          PredictorKind::VariableWindow}) {
+        pt.resetForTest();
+        SessionManager manager;
+        auto [status, session] = manager.open(kind);
+        ASSERT_EQ(status, Status::Ok);
+        std::array<uint64_t, obs::PT_MAX_PHASES> residency{};
+        std::array<uint64_t, obs::PT_MAX_PHASES * obs::PT_MAX_PHASES>
+            matrix{};
+        std::array<uint64_t, obs::PT_MAX_ACTIONS> dvfs{};
+        Rng rng(static_cast<uint64_t>(kind));
+        PhaseId last = INVALID_PHASE;
+        for (int batch = 0; batch < 60; ++batch) {
+            const auto n = static_cast<size_t>(rng.uniform(1.0, 65.0));
+            // Sticky and noisy stretches, across all six phases.
+            std::vector<IntervalRecord> records;
+            double level = rng.uniform(0.0, 0.04);
+            for (size_t i = 0; i < n; ++i) {
+                if (rng.chance(0.3))
+                    level = rng.uniform(0.0, 0.04);
+                records.push_back({100e6, level * 100e6,
+                                   static_cast<uint64_t>(i)});
+            }
+            std::vector<IntervalResult> results(n);
+            session->processBatch(records, results);
+            for (const IntervalResult &r : results) {
+                ++residency[obs::PhaseShard::slot(r.phase)];
+                ++dvfs[r.dvfs_index];
+                if (last != INVALID_PHASE && r.phase != last)
+                    ++matrix[obs::PhaseShard::slot(last) *
+                                 obs::PT_MAX_PHASES +
+                             obs::PhaseShard::slot(r.phase)];
+                last = r.phase;
+            }
+            const obs::PhaseTelemetrySnapshot snap = pt.snapshot();
+            ASSERT_EQ(snap.residency, residency) << "batch " << batch;
+            ASSERT_EQ(snap.matrix, matrix) << "batch " << batch;
+            ASSERT_EQ(snap.dvfs_actions, dvfs) << "batch " << batch;
+        }
+    }
+    pt.resetForTest();
+    obs::setEnabled(was);
 }
 
 } // namespace
