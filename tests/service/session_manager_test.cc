@@ -233,6 +233,33 @@ TEST(SessionManager, SessionsDoNotSharePredictorState)
         EXPECT_EQ(a_first[i], b_first[i]) << "at interval " << i;
 }
 
+/** Last-value predictor that abstains (INVALID_PHASE) on every
+ *  third step, so sessions take their cold-start fallback mid-stream
+ *  — no predictor in the tree does after its first sample. */
+class AbstainingPredictor : public PhasePredictor
+{
+  public:
+    void observe(const PhaseSample &sample) override
+    {
+        last = sample.phase;
+        ++steps;
+    }
+    PhaseId predict() const override
+    {
+        return steps % 3 == 0 ? INVALID_PHASE : last;
+    }
+    void reset() override { *this = AbstainingPredictor(); }
+    std::unique_ptr<PhasePredictor> clone() const override
+    {
+        return std::make_unique<AbstainingPredictor>(*this);
+    }
+    std::string name() const override { return "abstaining"; }
+
+  private:
+    PhaseId last = INVALID_PHASE;
+    uint64_t steps = 0;
+};
+
 TEST(SessionManager, PhaseTelemetryMatchesBatchResults)
 {
     // Residency, transitions and DVFS actions are counted per run,
@@ -241,18 +268,28 @@ TEST(SessionManager, PhaseTelemetryMatchesBatchResults)
     const bool was = obs::enabled();
     obs::setEnabled(true);
     auto &pt = obs::PhaseTelemetry::global();
+    SessionManager manager;
+    std::vector<std::shared_ptr<Session>> sessions;
     for (PredictorKind kind :
          {PredictorKind::Gpht, PredictorKind::LastValue,
           PredictorKind::VariableWindow}) {
-        pt.resetForTest();
-        SessionManager manager;
         auto [status, session] = manager.open(kind);
         ASSERT_EQ(status, Status::Ok);
+        sessions.push_back(session);
+    }
+    sessions.push_back(std::make_shared<Session>(
+        1000, PhaseClassifier::table1(),
+        std::make_unique<AbstainingPredictor>(),
+        DvfsPolicy::table2(PhaseClassifier::table1(),
+                           DvfsTable::pentiumM())));
+    for (size_t k = 0; k < sessions.size(); ++k) {
+        pt.resetForTest();
+        Session &session = *sessions[k];
         std::array<uint64_t, obs::PT_MAX_PHASES> residency{};
         std::array<uint64_t, obs::PT_MAX_PHASES * obs::PT_MAX_PHASES>
             matrix{};
         std::array<uint64_t, obs::PT_MAX_ACTIONS> dvfs{};
-        Rng rng(static_cast<uint64_t>(kind));
+        Rng rng(k + 1);
         PhaseId last = INVALID_PHASE;
         for (int batch = 0; batch < 60; ++batch) {
             const auto n = static_cast<size_t>(rng.uniform(1.0, 65.0));
@@ -266,7 +303,7 @@ TEST(SessionManager, PhaseTelemetryMatchesBatchResults)
                                    static_cast<uint64_t>(i)});
             }
             std::vector<IntervalResult> results(n);
-            session->processBatch(records, results);
+            session.processBatch(records, results);
             for (const IntervalResult &r : results) {
                 ++residency[obs::PhaseShard::slot(r.phase)];
                 ++dvfs[r.dvfs_index];
@@ -277,9 +314,12 @@ TEST(SessionManager, PhaseTelemetryMatchesBatchResults)
                 last = r.phase;
             }
             const obs::PhaseTelemetrySnapshot snap = pt.snapshot();
-            ASSERT_EQ(snap.residency, residency) << "batch " << batch;
-            ASSERT_EQ(snap.matrix, matrix) << "batch " << batch;
-            ASSERT_EQ(snap.dvfs_actions, dvfs) << "batch " << batch;
+            ASSERT_EQ(snap.residency, residency)
+                << session.predictorName() << " batch " << batch;
+            ASSERT_EQ(snap.matrix, matrix)
+                << session.predictorName() << " batch " << batch;
+            ASSERT_EQ(snap.dvfs_actions, dvfs)
+                << session.predictorName() << " batch " << batch;
         }
     }
     pt.resetForTest();
