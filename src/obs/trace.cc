@@ -165,34 +165,33 @@ TraceSpan::begin(const char *name)
 {
     Tracer &tracer = Tracer::global();
     const TraceContext parent = currentTrace();
-    active = true;
     saved = parent;
-    rec = SpanRecord{};
-    rec.trace_id = parent.trace_id;
-    rec.span_id = tracer.nextSpanId();
-    rec.parent_id = parent.span_id;
-    rec.start_ns = sinceStartNs();
-    rec.tid = threadId();
-    copyTruncated(rec.name, sizeof(rec.name), name);
-    setCurrentTrace({parent.trace_id, rec.span_id});
+    SpanRecord &r = rec.emplace();
+    r.trace_id = parent.trace_id;
+    r.span_id = tracer.nextSpanId();
+    r.parent_id = parent.span_id;
+    r.start_ns = sinceStartNs();
+    r.tid = threadId();
+    copyTruncated(r.name, sizeof(r.name), name);
+    setCurrentTrace({parent.trace_id, r.span_id});
 }
 
 void
 TraceSpan::annotate(const TraceAnnotation &a)
 {
-    if (!active || rec.nannotations >= SpanRecord::MAX_ANNOTATIONS)
+    if (!rec || rec->nannotations >= SpanRecord::MAX_ANNOTATIONS)
         return;
-    rec.annotations[rec.nannotations++] = a;
+    rec->annotations[rec->nannotations++] = a;
 }
 
 void
 TraceSpan::end()
 {
-    if (!active)
+    if (!rec)
         return;
-    active = false;
-    rec.end_ns = sinceStartNs();
-    Tracer::global().record(rec);
+    rec->end_ns = sinceStartNs();
+    Tracer::global().record(*rec);
+    rec.reset();
     setCurrentTrace(saved);
 }
 

@@ -39,6 +39,7 @@
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -236,18 +237,19 @@ class TraceSpan
     /** This span's context ({0,0} when not sampled). */
     TraceContext context() const
     {
-        return active ? TraceContext{rec.trace_id, rec.span_id}
-                      : TraceContext{};
+        return rec ? TraceContext{rec->trace_id, rec->span_id}
+                   : TraceContext{};
     }
 
-    bool sampled() const { return active; }
+    bool sampled() const { return rec.has_value(); }
 
   private:
     void begin(const char *name);
 
-    bool active = false;
     TraceContext saved{};
-    SpanRecord rec;
+    /** Built by begin() only, so an unsampled span never pays for
+     *  the ~272-byte record. */
+    std::optional<SpanRecord> rec;
 };
 
 /** Record an instant event (zero-length span) under the current

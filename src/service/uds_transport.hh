@@ -16,6 +16,12 @@
  * and RetryAfter backpressure as in-process ones. An idle service
  * serves the frame on the connection thread itself (caller-runs);
  * under load it queues for the worker pool.
+ *
+ * Both ends wait for a frame spin-then-block: a connection whose
+ * previous frame arrived within a 50 us budget probes with
+ * non-blocking recv (yielding between probes) before it blocks, so
+ * a closed-loop round trip does not pay two thread wake-ups; one
+ * whose frames arrive further apart blocks at once.
  */
 
 #ifndef LIVEPHASE_SERVICE_UDS_TRANSPORT_HH
@@ -123,14 +129,19 @@ class UdsClientTransport : public FrameTransport
 
     /** Send one frame, receive one frame into `response`
      *  (capacity recycled across calls), so a steady-state client
-     *  stops allocating on the socket path. False on I/O failure,
-     *  which also drops the connection. */
+     *  stops allocating on the socket path. A reply that has all
+     *  arrived and is no longer than the previous one is read in
+     *  one recv. False on I/O failure, or a reply with bytes behind
+     *  it, which also drops the connection. */
     bool roundTripInto(const Bytes &request_frame,
                        Bytes &response) override;
 
   private:
     std::string sock_path;
     int fd = -1;
+    /** Spin-then-block state of the reply wait: whether the last
+     *  reply came back within the spin budget. */
+    bool spin_wait = true;
 };
 
 } // namespace livephase::service

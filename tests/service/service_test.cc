@@ -20,6 +20,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -29,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <set>
@@ -849,6 +851,220 @@ TEST(Service, UdsServerJoinsFinishedConnectionThreads)
     ASSERT_TRUE(transport.roundTripInto(stats, rx));
     EXPECT_EQ(server.connectionThreads(), 1u);
     server.stop();
+}
+
+/** CPU time the whole process has used so far, in microseconds. */
+uint64_t
+processCpuUs()
+{
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    const auto us = [](const timeval &tv) {
+        return static_cast<uint64_t>(tv.tv_sec) * 1'000'000u +
+            static_cast<uint64_t>(tv.tv_usec);
+    };
+    return us(ru.ru_utime) + us(ru.ru_stime);
+}
+
+TEST(Service, UdsIdleConnectionSpendsNoCpu)
+{
+    // Both ends spin before they block on a frame wait; a connection
+    // that goes quiet must stop costing CPU once the budget is spent.
+    LivePhaseService svc;
+    const std::string path =
+        "/tmp/livephased_idle_" +
+        std::to_string(static_cast<unsigned>(::getpid())) + ".sock";
+    UdsServer server(svc, path);
+    if (!server.start())
+        GTEST_SKIP() << "AF_UNIX unavailable in this environment";
+
+    UdsClientTransport transport(path);
+    ASSERT_TRUE(transport.connect());
+    const Bytes stats = ENCODED(encodeStatsRequestInto);
+    Bytes rx;
+    ASSERT_TRUE(transport.roundTripInto(stats, rx));
+    const uint64_t before = processCpuUs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_LT(processCpuUs() - before, 10'000u)
+        << "us of process CPU while the connection sat idle for 200 ms";
+    EXPECT_TRUE(transport.roundTripInto(stats, rx));
+    server.stop();
+}
+
+TEST(Service, UdsStopEndsABusyConnectionPromptly)
+{
+    // stop() shuts the connection down while its thread is waiting
+    // for the next frame, spinning or blocked: either way it returns.
+    LivePhaseService svc;
+    const std::string path =
+        "/tmp/livephased_busystop_" +
+        std::to_string(static_cast<unsigned>(::getpid())) + ".sock";
+    UdsServer server(svc, path);
+    if (!server.start())
+        GTEST_SKIP() << "AF_UNIX unavailable in this environment";
+
+    std::atomic<uint64_t> trips{0};
+    std::thread client([&] {
+        UdsClientTransport transport(path);
+        if (!transport.connect())
+            return;
+        const Bytes stats = ENCODED(encodeStatsRequestInto);
+        Bytes rx;
+        while (transport.roundTripInto(stats, rx))
+            trips.fetch_add(1);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (trips.load() < 100 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(trips.load(), 100u);
+
+    const auto start = std::chrono::steady_clock::now();
+    server.stop();
+    const auto took = std::chrono::steady_clock::now() - start;
+    client.join();
+    EXPECT_LT(took, std::chrono::seconds(1));
+    EXPECT_EQ(server.connectionThreads(), 0u);
+}
+
+TEST(Service, UdsClientGrowsItsReplyBufferForALargerReply)
+{
+    // The client reads a reply no longer than its recycled buffer in
+    // one recv; one that is longer (1024 results right after one)
+    // must come back whole through the read of the rest.
+    LivePhaseService svc;
+    const std::string path =
+        "/tmp/livephased_grow_" +
+        std::to_string(static_cast<unsigned>(::getpid())) + ".sock";
+    UdsServer server(svc, path);
+    if (!server.start())
+        GTEST_SKIP() << "AF_UNIX unavailable in this environment";
+
+    UdsClientTransport transport(path);
+    ASSERT_TRUE(transport.connect());
+    Bytes rx;
+    ResponseView resp;
+    ASSERT_TRUE(transport.roundTripInto(
+        ENCODED(encodeOpenRequestInto, PredictorKind::Gpht), rx));
+    ASSERT_TRUE(parseResponse(rx, resp));
+    ASSERT_EQ(resp.status, Status::Ok);
+    const uint64_t session = resp.header.session_id;
+
+    const auto stream = makeStream(11, 1 + 1024 + 1);
+    const auto expected = referenceRun(stream, PredictorKind::Gpht,
+                                       svc.config().sessions);
+    std::vector<IntervalResult> got;
+    std::vector<IntervalResult> part;
+    size_t at = 0;
+    for (const size_t n : {1u, 1024u, 1u}) {
+        const size_t before = rx.size();
+        ASSERT_TRUE(transport.roundTripInto(
+            ENCODED(encodeSubmitRequestInto, session,
+                    RecordView(stream).subspan(at, n)),
+            rx));
+        if (n == 1024) {
+            EXPECT_GT(rx.size(), before);
+        }
+        ASSERT_TRUE(parseResponse(rx, resp));
+        ASSERT_EQ(resp.status, Status::Ok);
+        ASSERT_TRUE(decodeSubmitResultsInto(resp.body, part));
+        ASSERT_EQ(part.size(), n);
+        got.insert(got.end(), part.begin(), part.end());
+        at += n;
+    }
+    EXPECT_EQ(got, expected);
+    server.stop();
+}
+
+/** Send all of `bytes` on a test socket. */
+void
+sendBytes(int fd, const uint8_t *bytes, size_t n)
+{
+    while (n > 0) {
+        const ssize_t sent = ::send(fd, bytes, n, MSG_NOSIGNAL);
+        ASSERT_GT(sent, 0);
+        bytes += sent;
+        n -= static_cast<size_t>(sent);
+    }
+}
+
+/** Read one whole request frame off a test socket. */
+void
+recvRequest(int fd)
+{
+    uint8_t header[FRAME_HEADER_SIZE];
+    ASSERT_EQ(::recv(fd, header, sizeof(header), MSG_WAITALL),
+              static_cast<ssize_t>(sizeof(header)));
+    const auto parsed = peekHeader(header, sizeof(header));
+    ASSERT_TRUE(parsed);
+    Bytes payload(parsed->payload_size);
+    if (!payload.empty()) {
+        ASSERT_EQ(::recv(fd, payload.data(), payload.size(), MSG_WAITALL),
+                  static_cast<ssize_t>(payload.size()));
+    }
+}
+
+TEST(Service, UdsClientReadsAReplyThatArrivesInPieces)
+{
+    // A bare socket stands in for the server, so the test decides how
+    // the reply's bytes arrive: split inside the header and the
+    // payload, then whole with a stray byte behind it.
+    const std::string path =
+        "/tmp/livephased_pieces_" +
+        std::to_string(static_cast<unsigned>(::getpid())) + ".sock";
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    ASSERT_LT(path.size(), sizeof(addr.sun_path));
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ::unlink(path.c_str());
+    if (listener < 0 ||
+        ::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listener, 1) != 0) {
+        if (listener >= 0)
+            ::close(listener);
+        GTEST_SKIP() << "AF_UNIX unavailable in this environment";
+    }
+
+    const Bytes body(300, 0x5a);
+    const Bytes reply =
+        ENCODED(encodeResponseInto,
+                static_cast<uint16_t>(Op::QueryStats), 0, Status::Ok,
+                ByteView(body));
+    std::thread peer([&] {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        ASSERT_GE(fd, 0);
+        recvRequest(fd);
+        for (const auto &[from, to] : {std::pair<size_t, size_t>{0, 7},
+                                       {7, 60},
+                                       {60, reply.size()}}) {
+            sendBytes(fd, reply.data() + from, to - from);
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        recvRequest(fd);
+        Bytes stray = reply;
+        stray.push_back(0);
+        sendBytes(fd, stray.data(), stray.size());
+        ::close(fd);
+    });
+
+    UdsClientTransport transport(path);
+    ASSERT_TRUE(transport.connect());
+    const Bytes stats = ENCODED(encodeStatsRequestInto);
+    // A buffer longer than the reply: the first recv may take all of
+    // it, so it must not be taken for the whole reply.
+    Bytes rx(4096);
+    EXPECT_TRUE(transport.roundTripInto(stats, rx));
+    EXPECT_EQ(rx, reply);
+    // A byte past the one reply the client asked for is a protocol
+    // violation: the stream is dropped, not left misaligned.
+    rx.resize(4096);
+    EXPECT_FALSE(transport.roundTripInto(stats, rx));
+    EXPECT_FALSE(transport.connected());
+    peer.join();
+    ::close(listener);
+    ::unlink(path.c_str());
 }
 
 TEST(Service, HandleFrameIntoMatchesOwningHandleFrame)
