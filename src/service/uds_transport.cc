@@ -94,47 +94,39 @@ recvWaiting(int fd, uint8_t *buf, size_t cap, bool &spin)
     return got;
 }
 
-/** recv into buf[done, cap) until at least `need` bytes are in; the
- *  first recv is a frame wait when `spin` is given. Returns the
- *  bytes in buf, fewer than `need` on EOF or error. */
-size_t
-recvAtLeast(int fd, uint8_t *buf, size_t done, size_t need, size_t cap,
-            bool *spin = nullptr)
+/** Read exactly n bytes; false on EOF/error. With `spin`, the first
+ *  recv is a frame wait (recvWaiting).
+ *
+ *  Failpoint "uds.read": Error = the peer vanished before a byte
+ *  arrived; PartialIo = half the bytes arrive, then the stream dies
+ *  (a disconnect mid-frame). Delay stalls inside evaluate(),
+ *  modelling a jittery peer. */
+bool
+recvAll(int fd, uint8_t *buf, size_t n, bool *spin = nullptr)
 {
-    while (done < need) {
+    size_t want = n;
+    if (auto f = FAULT_POINT("uds.read")) {
+        if (f.action == fault::Action::Error)
+            return false;
+        if (f.action == fault::Action::PartialIo)
+            want = n / 2;
+    }
+    size_t done = 0;
+    while (done < want) {
         const ssize_t got =
-            spin ? recvWaiting(fd, buf + done, cap - done, *spin)
-                 : ::recv(fd, buf + done, cap - done, 0);
+            spin ? recvWaiting(fd, buf + done, want - done, *spin)
+                 : ::recv(fd, buf + done, want - done, 0);
         spin = nullptr;
         if (got == 0)
-            break;
+            return false;
         if (got < 0) {
             if (errno == EINTR)
                 continue;
-            break;
+            return false;
         }
         done += static_cast<size_t>(got);
     }
-    return done;
-}
-
-/** How many bytes of an n-byte header or payload read may arrive
- *  before it fails.
- *
- *  Failpoint "uds.read", evaluated once per read: Error = none (the
- *  peer vanished before a byte arrived); PartialIo = n / 2 (a
- *  disconnect mid-frame). Delay stalls inside evaluate(), modelling
- *  a jittery peer. */
-size_t
-readAllowance(size_t n)
-{
-    if (auto f = FAULT_POINT("uds.read")) {
-        if (f.action == fault::Action::Error)
-            return 0;
-        if (f.action == fault::Action::PartialIo)
-            return n / 2;
-    }
-    return n;
+    return done == n;
 }
 
 /** Write exactly n bytes; false on error.
@@ -173,58 +165,35 @@ enum class RecvStatus
     Desync ///< unparseable header; `frame` holds the header bytes
 };
 
-/**
- * Read one frame off the stream; the wait for its header is a frame
- * wait (recvWaiting). `whole_reply`: nothing can follow this frame
- * until the caller writes again (a client's one outstanding reply),
- * so the first recv takes as much of the frame as has arrived, up to
- * the length `frame` already has (the previous reply's: a client
- * whose replies keep their size reads each in one recv, and spare
- * capacity is never zero-filled), and bytes past the frame are a
- * protocol violation (Desync). A server reads header, then payload,
- * since a client may pipeline its next frame behind this one.
- */
+/** Read one frame off the stream; the wait for its header is a frame
+ *  wait with this connection's spin state. */
 RecvStatus
-recvFrame(int fd, Bytes &frame, bool &spin, bool whole_reply)
+recvFrame(int fd, Bytes &frame, bool &spin)
 {
-    const size_t header_allowed = readAllowance(FRAME_HEADER_SIZE);
-    frame.resize(whole_reply ? std::max(frame.size(), FRAME_HEADER_SIZE)
-                             : FRAME_HEADER_SIZE);
-    const size_t got = recvAtLeast(
-        fd, frame.data(), 0, header_allowed,
-        header_allowed < FRAME_HEADER_SIZE ? header_allowed
-                                           : frame.size(),
-        &spin);
-    if (got < FRAME_HEADER_SIZE)
+    frame.clear();
+    uint8_t header_bytes[FRAME_HEADER_SIZE];
+    if (!recvAll(fd, header_bytes, sizeof(header_bytes), &spin))
         return RecvStatus::Eof;
     // Failpoint "uds.frame": CorruptFrame garbles the length prefix
     // (payload_size bytes), the classic stream-desync trigger.
     if (auto f = FAULT_POINT("uds.frame");
         f.action == fault::Action::CorruptFrame) {
         for (size_t i = 16; i < FRAME_HEADER_SIZE; ++i)
-            frame[i] ^= 0xA5;
+            header_bytes[i] ^= 0xA5;
     }
-    const auto header = peekHeader(frame.data(), FRAME_HEADER_SIZE);
-    const size_t total = FRAME_HEADER_SIZE +
-        (header ? size_t{header->payload_size} : 0);
+    frame.assign(header_bytes, header_bytes + sizeof(header_bytes));
+    const auto header =
+        peekHeader(header_bytes, sizeof(header_bytes));
     if (!header || header->magic != FRAME_MAGIC ||
         header->version < PROTOCOL_VERSION_MIN ||
         header->version > PROTOCOL_VERSION ||
-        header->payload_size > MAX_PAYLOAD_SIZE || got > total) {
-        frame.resize(FRAME_HEADER_SIZE);
+        header->payload_size > MAX_PAYLOAD_SIZE)
         return RecvStatus::Desync;
-    }
-    frame.resize(total);
-    if (header->payload_size > 0) {
-        const size_t allowed =
-            FRAME_HEADER_SIZE + readAllowance(header->payload_size);
-        const size_t in =
-            recvAtLeast(fd, frame.data(), got, allowed, allowed);
-        // A read the failpoint cuts short fails even when the first
-        // recv already holds the whole reply.
-        if (allowed < total || in < total)
-            return RecvStatus::Eof;
-    }
+    frame.resize(FRAME_HEADER_SIZE + header->payload_size);
+    if (header->payload_size > 0 &&
+        !recvAll(fd, frame.data() + FRAME_HEADER_SIZE,
+                 header->payload_size))
+        return RecvStatus::Eof;
     return RecvStatus::Ok;
 }
 
@@ -374,7 +343,7 @@ UdsServer::serveConnection(int fd)
     bool spin = true; // this connection's frame-wait state
     while (running.load()) {
         BufferPool::Lease frame = BufferPool::global().lease();
-        const RecvStatus status = recvFrame(fd, *frame, spin, false);
+        const RecvStatus status = recvFrame(fd, *frame, spin);
         if (status == RecvStatus::Eof)
             break;
         tc.bytes_in.inc(frame->size());
@@ -477,7 +446,7 @@ UdsClientTransport::roundTripInto(const Bytes &request_frame,
         fd = -1;
         return false;
     }
-    if (recvFrame(fd, response, spin_wait, true) != RecvStatus::Ok) {
+    if (recvFrame(fd, response, spin_wait) != RecvStatus::Ok) {
         ::close(fd);
         fd = -1;
         return false;

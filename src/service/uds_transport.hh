@@ -129,10 +129,8 @@ class UdsClientTransport : public FrameTransport
 
     /** Send one frame, receive one frame into `response`
      *  (capacity recycled across calls), so a steady-state client
-     *  stops allocating on the socket path. A reply that has all
-     *  arrived and is no longer than the previous one is read in
-     *  one recv. False on I/O failure, or a reply with bytes behind
-     *  it, which also drops the connection. */
+     *  stops allocating on the socket path. False on I/O failure,
+     *  which also drops the connection. */
     bool roundTripInto(const Bytes &request_frame,
                        Bytes &response) override;
 
