@@ -17,10 +17,22 @@
  * tags — `interactive` (priority 0, share 0.6, 50 ms deadline) and
  * `bulk` (priority 1, share 0.4). The same threads now drive
  * the same pre-encoded frames and *ignore the retry advice*: a shed
- * thread naps only briefly and hammers again, so the offered load
- * lands an order of magnitude above capacity. Shed frames take the
- * shedEarly() preflight — one header peek and a token CAS, no frame
- * copy — which is exactly why saying no stays cheap.
+ * thread naps only briefly and hammers again. Every frame meets the
+ * service's one admission decision, shedEarly(), on the in-process
+ * transport's ingress: a shed frame costs one header peek and a
+ * token CAS, no frame copy — which is exactly why saying no stays
+ * cheap.
+ *
+ * Pressure comes from batch cost, not from the thread count: the
+ * closed loop queues about (clients - workers) / workers batches,
+ * and the controller sheds only once that backlog waits past its
+ * 10 ms target. The controller settings below hold where a worker
+ * takes ~4-5 ms per batch (400-500 batches/s; the committed
+ * baseline measured 388). A faster predictor or host drains the
+ * default batch several times quicker, the backlog never reaches
+ * the target, and nothing is shed — the O(1) GPHT lookup alone
+ * made a 32768-record batch ~6x cheaper. So two short capacity
+ * probes first size the batch to bring capacity back to that rate.
  *
  * The claim under test: the feedback loop sheds the excess *before*
  * it queues, so goodput stays within 10% of capacity (instead of
@@ -35,7 +47,8 @@
  * the mechanism (or --trials runs out), and gate on the best.
  *
  * Flags:
- *   --batch K          records per SubmitBatch      (default 32768)
+ *   --batch K          records per SubmitBatch the capacity
+ *                      probe starts from           (default 32768)
  *   --threads-per-tag  phase B threads per tag      (default 8)
  *   --shed-sleep-us    nap after a shed attempt     (default 2500)
  *   --capacity-ms      phase A measure window       (default 600)
@@ -88,6 +101,10 @@ constexpr double INTERACTIVE_DEADLINE_MS = 50.0;
  *  reliably leaves behind is shed decisions — require a trial to
  *  have actually said no before its goodput counts as evidence. */
 constexpr uint64_t MIN_SHED_DECISIONS = 10;
+
+/** Phase-A capacity the probes size the batch for (see the file
+ *  comment). */
+constexpr double TUNED_CAPACITY_PER_S = 500.0;
 
 std::vector<IntervalRecord>
 makeBatch(size_t n)
@@ -234,14 +251,33 @@ runLoad(LivePhaseService &svc,
     return result;
 }
 
+/** Phase A: single-tag capacity, admission off, closed loop, with
+ *  the same client-thread count as phase B (see the file comment):
+ *  the denominator must carry the same client scheduler footprint
+ *  the overload run pays, or the fraction charges the controller
+ *  for CPU the extra client threads burn. */
+double
+measureCapacity(const std::vector<IntervalRecord> &records,
+                size_t threads_per_tag, uint64_t capacity_ms)
+{
+    LivePhaseService::Config cfg;
+    cfg.workers = 2;
+    cfg.max_batch = std::max(cfg.max_batch, records.size());
+    LivePhaseService svc(cfg);
+    return runLoad(svc, records, {admission::TenantTag{0}},
+                   /*threads_per_tag=*/2 * threads_per_tag,
+                   /*shed_sleep_us=*/0,
+                   /*warmup_ms=*/200, capacity_ms)
+        .goodput_per_s;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
-    const size_t batch =
-        static_cast<size_t>(args.getInt("batch", 32768));
+    size_t batch = static_cast<size_t>(args.getInt("batch", 32768));
     const size_t threads_per_tag =
         static_cast<size_t>(args.getInt("threads-per-tag", 8));
     const uint64_t shed_sleep_us =
@@ -259,6 +295,20 @@ main(int argc, char **argv)
 
     printBanner(std::cout,
                 "admission-control goodput under overload");
+    // Two probe steps: cost per record grows with frame size (cache
+    // misses), so one linear step from the default batch overshoots.
+    for (int step = 0; step < 2; ++step) {
+        const double probe = measureCapacity(
+            makeBatch(batch), threads_per_tag, capacity_ms / 2);
+        const size_t max_records =
+            MAX_PAYLOAD_SIZE / INTERVAL_RECORD_WIRE_SIZE - 1;
+        const size_t sized = static_cast<size_t>(
+            static_cast<double>(batch) * probe / TUNED_CAPACITY_PER_S);
+        std::cout << "probe: capacity=" << formatDouble(probe, 0)
+                  << " at batch " << batch << "\n";
+        batch = std::clamp<size_t>(sized, 1, max_records);
+    }
+    std::cout << "batch sized to " << batch << " records\n";
     const auto records = makeBatch(batch);
 
     struct TrialOutcome
@@ -286,24 +336,8 @@ main(int argc, char **argv)
         }
         TrialOutcome t;
 
-        // Phase A: single-tag capacity, admission off, closed
-        // loop. Same client-thread count as phase B (see the
-        // header comment): the denominator must carry the same
-        // client scheduler footprint the overload run pays, or the
-        // fraction charges the controller for CPU the extra client
-        // threads burn.
-        {
-            LivePhaseService::Config cfg;
-            cfg.workers = 2;
-            cfg.max_batch = std::max<size_t>(cfg.max_batch, batch);
-            LivePhaseService svc(cfg);
-            const LoadResult base = runLoad(
-                svc, records, {admission::TenantTag{0}},
-                /*threads_per_tag=*/2 * threads_per_tag,
-                /*shed_sleep_us=*/0,
-                /*warmup_ms=*/200, capacity_ms);
-            t.capacity = base.goodput_per_s;
-        }
+        t.capacity =
+            measureCapacity(records, threads_per_tag, capacity_ms);
 
         // Phase B: mixed-tag overload against admission control.
         LivePhaseService::Config cfg;

@@ -15,11 +15,11 @@
  * allocs-per-request. --check gates that number at exactly zero.
  *
  * A second measurement repeats the Into path against a service with
- * admission control enabled and a tagged (protocol-v2) frame: the
- * tag peek, the token-bucket decide() and the per-tag accounting
- * all sit on the hot path, and the zero-alloc budget must hold
- * through them too. Gated at exactly zero alongside the untagged
- * number.
+ * admission control enabled and a tagged (protocol-v2) frame, each
+ * request first passing shedEarly() as every ingress does: the tag
+ * peek, the token-bucket decide() and the per-tag accounting all
+ * sit on the hot path, and the zero-alloc budget must hold through
+ * them too. Gated at exactly zero alongside the untagged number.
  *
  * Flags:
  *   --batch K       records per request       (default 64)
@@ -182,9 +182,9 @@ openSession(LivePhaseService &svc)
 }
 
 /** Allocations per request over `n` requests of the span/Into
- *  path: encode in place, handle in place, same two buffers. A
- *  nonzero `tag` emits protocol-v2 frames and exercises the
- *  admission decide() hook when `svc` has it enabled. */
+ *  path: encode in place, decide admission, handle in place, same
+ *  two buffers. A nonzero `tag` emits protocol-v2 frames; with
+ *  admission enabled on `svc`, shedEarly() spends their budget. */
 double
 measureIntoPath(LivePhaseService &svc, uint64_t sid,
                 const std::vector<IntervalRecord> &records,
@@ -194,6 +194,8 @@ measureIntoPath(LivePhaseService &svc, uint64_t sid,
     Bytes tx, rx;
     const auto once = [&] {
         encodeSubmitRequestInto(tx, sid, records, TraceField{}, tag);
+        if (svc.shedEarly(ByteView(tx), rx))
+            fatal("frame shed on the Into path");
         svc.handleFrameInto(ByteView(tx), rx);
         ResponseView view;
         if (!parseResponse(ByteView(rx), view) ||

@@ -5,9 +5,10 @@
  * service embeds — a Ratekeeper feedback controller wired to a
  * TagThrottler, plus the controller thread's lifecycle.
  *
- * The service calls exactly one thing on its submit path:
- * decide(tag). Everything else — sampling, budget math, token
- * refill — happens on the controller's cadence. See DESIGN.md §15.
+ * The service calls exactly one thing per frame, from
+ * LivePhaseService::shedEarly(): decide(tag). Everything else —
+ * sampling, budget math, token refill — happens on the controller's
+ * cadence. See DESIGN.md §15.
  */
 
 #ifndef LIVEPHASE_ADMISSION_ADMISSION_HH
@@ -26,7 +27,7 @@ namespace livephase::admission
 struct AdmissionConfig
 {
     /** Master switch; a disabled config costs the service nothing
-     *  (no controller thread, no decide() on submit). */
+     *  (no controller thread, no decide() per frame). */
     bool enabled = false;
 
     RatekeeperConfig controller{};

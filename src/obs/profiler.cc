@@ -481,7 +481,9 @@ Profiler::start(const ProfilerConfig &config)
     counters_live.store(false, std::memory_order_relaxed);
     is_running.store(true, std::memory_order_release);
     for (auto &state : threads) {
-        armThread(*state);
+        if (state->tid != 0) { // else reserved: arms on attach
+            armThread(*state);
+        }
     }
     setCycleAttribution(true);
     healthTick();
@@ -528,43 +530,49 @@ Profiler::countersLive() const
     return counters_live.load(std::memory_order_relaxed);
 }
 
-uint64_t
-Profiler::registerCurrentThread(const char *name)
+Profiler::ThreadState *
+Profiler::reserveThread(const char *name)
 {
     auto state = std::make_shared<ThreadState>();
     state->owner = this;
     state->id = next_thread_id.fetch_add(
                     1, std::memory_order_relaxed) +
                 1;
-    state->obs_tid = threadId();
     std::snprintf(state->name, sizeof state->name, "%s",
                   name != nullptr ? name : "thread");
+    std::lock_guard<std::mutex> lock(mu);
+    threads.push_back(state);
+    return state.get();
+}
+
+uint64_t
+Profiler::attachCurrentThread(ThreadState &state)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    state.obs_tid = threadId();
 #if LIVEPHASE_PROFILER_LINUX
-    state->tid = static_cast<pid_t>(syscall(SYS_gettid));
-    if (pthread_getcpuclockid(pthread_self(),
-                              &state->cpu_clock) != 0) {
-        state->cpu_clock = CLOCK_THREAD_CPUTIME_ID;
+    state.tid = static_cast<pid_t>(syscall(SYS_gettid));
+    if (pthread_getcpuclockid(pthread_self(), &state.cpu_clock) != 0) {
+        state.cpu_clock = CLOCK_THREAD_CPUTIME_ID;
     }
     pthread_attr_t attr;
     if (pthread_getattr_np(pthread_self(), &attr) == 0) {
         void *lo = nullptr;
         size_t size = 0;
         if (pthread_attr_getstack(&attr, &lo, &size) == 0) {
-            state->stack_lo = reinterpret_cast<uintptr_t>(lo);
-            state->stack_hi = state->stack_lo + size;
+            state.stack_lo = reinterpret_cast<uintptr_t>(lo);
+            state.stack_hi = state.stack_lo + size;
         }
         pthread_attr_destroy(&attr);
     }
 #endif
     /* Publish TLS before arming: a tick between timer_settime and
      * a later publication would be dropped, never misattributed. */
-    tlState() = state.get();
-    std::lock_guard<std::mutex> lock(mu);
-    threads.push_back(state);
+    tlState() = &state;
     if (is_running.load(std::memory_order_relaxed)) {
-        armThread(*state);
+        armThread(state);
     }
-    return state->id;
+    return state.id;
 }
 
 void
@@ -800,7 +808,7 @@ Profiler::recordSampleForTest(const uint64_t *pcs, size_t depth)
         /* Bare registration (no RAII guard): standalone test
          * instances drive the ring path directly and the entry
          * dies with the profiler. */
-        registerCurrentThread("test");
+        attachCurrentThread(*reserveThread("test"));
         state = tlState();
     }
     {

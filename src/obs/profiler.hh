@@ -199,11 +199,21 @@ class Profiler
     /** Sample rings: one per thread armed at once, none before. */
     size_t ringCount() const { return rings.ringCount(); }
 
+    /** Threads registered now, armed or not. */
+    size_t threadCount() const
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return threads.size();
+    }
+
     struct ThreadState; // opaque; owned via registry below
 
-    /** Register the calling thread; prefer the ThreadProfile RAII
-     *  guard. Returns an id for unregisterThread. */
-    uint64_t registerCurrentThread(const char *name);
+    /** Registration in two halves; prefer the ThreadProfile guard.
+     *  reserveThread() allocates, possibly on the thread that starts
+     *  the registered one; that thread then attachCurrentThread()s
+     *  (no allocation; only attached threads are sampled). */
+    ThreadState *reserveThread(const char *name);
+    uint64_t attachCurrentThread(ThreadState &state);
     void unregisterCurrentThread(uint64_t id);
 
   private:
@@ -238,7 +248,14 @@ class ThreadProfile
   public:
     explicit ThreadProfile(const char *name = "thread",
                            Profiler &profiler = Profiler::global())
-        : prof(profiler), id(profiler.registerCurrentThread(name))
+        : ThreadProfile(profiler.reserveThread(name), profiler)
+    {
+    }
+
+    /** Adopt a reserveThread() registration made for this thread. */
+    explicit ThreadProfile(Profiler::ThreadState *reserved,
+                           Profiler &profiler = Profiler::global())
+        : prof(profiler), id(profiler.attachCurrentThread(*reserved))
     {
     }
 

@@ -23,7 +23,6 @@
  * uniform sample.
  *
  * Cost model:
- *  - compiled out entirely with -DLIVEPHASE_OBS_DISABLED;
  *  - runtime-disabled (the default): one relaxed atomic load and a
  *    predicted-not-taken branch;
  *  - enabled: a thread-local pass count and one atomic add; on a
@@ -191,20 +190,6 @@ class Span
 #define LIVEPHASE_OBS_CONCAT2(a, b) a##b
 #define LIVEPHASE_OBS_CONCAT(a, b) LIVEPHASE_OBS_CONCAT2(a, b)
 
-#ifdef LIVEPHASE_OBS_DISABLED
-namespace livephase::obs
-{
-/** What OBS_SPAN_FROM declares when obs is compiled out. */
-struct NullSpan
-{
-    explicit NullSpan(SpanStamp) {}
-    SpanStamp end() { return {}; }
-};
-} // namespace livephase::obs
-#define OBS_SPAN(name) ((void)0)
-#define OBS_SPAN_FROM(var, name, ...)                                \
-    ::livephase::obs::NullSpan var { (__VA_ARGS__) }
-#else
 /** Span `var` timing its scope as span `name` (a string literal),
  *  opening from the SpanStamp after it (`{}` reads the clock). The
  *  per-site statics hold the site's histogram, its per-thread pass
@@ -230,6 +215,5 @@ struct NullSpan
 #define OBS_SPAN(name)                                               \
     OBS_SPAN_FROM(LIVEPHASE_OBS_CONCAT(obs_span_, __LINE__), name,   \
                   ::livephase::obs::SpanStamp{})
-#endif
 
 #endif // LIVEPHASE_OBS_SPAN_HH

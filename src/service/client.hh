@@ -91,9 +91,9 @@ class FrameTransport
 
 /**
  * Transport into a LivePhaseService in the same process, through
- * submit(): served on the calling thread when the service is idle,
- * through its queue and worker pool under load (so backpressure is
- * observable).
+ * shedEarly() then submit(): served on the calling thread when the
+ * service is idle, through its queue and worker pool under load (so
+ * backpressure is observable).
  */
 class InProcessTransport : public FrameTransport
 {
@@ -106,7 +106,7 @@ class InProcessTransport : public FrameTransport
     bool roundTripInto(const Bytes &request_frame,
                        Bytes &response) override
     {
-        // Admission preflight on the borrowed view: a shed frame
+        // The admission decision, on the borrowed view: a shed frame
         // is answered without paying the copy or the future.
         if (svc.shedEarly(ByteView(request_frame), response))
             return true;
@@ -114,12 +114,10 @@ class InProcessTransport : public FrameTransport
         // copied into a pooled lease (a memcpy, not an allocation,
         // once the pool is warm). The response arrives as detached
         // pool storage; donating the caller's previous rx buffer
-        // back keeps the pool balanced. pre_admitted: the budget
-        // for this frame was spent by shedEarly() above.
+        // back keeps the pool balanced.
         BufferPool::Lease tx = BufferPool::global().lease();
         tx->assign(request_frame.begin(), request_frame.end());
-        Bytes got =
-            svc.submit(std::move(tx), /*pre_admitted=*/true).get();
+        Bytes got = svc.submit(std::move(tx)).get();
         BufferPool::global().giveBack(std::move(response));
         response = std::move(got);
         return true;

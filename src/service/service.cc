@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -23,42 +24,57 @@ namespace livephase::service
 namespace
 {
 
-/** Little-endian u32 retry advice on the stack — the alloc-free
- *  twin of encodeRetryAdviceInto for in-flight response paths. */
-struct RetryAdvice
+/** Retry advice body, encoded into a per-thread buffer so the
+ *  rejection paths stay allocation-free once it is warm. */
+ByteView
+retryAdvice(uint32_t retry_after_ms)
 {
-    uint8_t buf[4];
+    static thread_local Bytes body;
+    encodeRetryAdviceInto(body, retry_after_ms);
+    return ByteView(body);
+}
 
-    explicit RetryAdvice(uint32_t ms)
-        : buf{static_cast<uint8_t>(ms),
-              static_cast<uint8_t>(ms >> 8),
-              static_cast<uint8_t>(ms >> 16),
-              static_cast<uint8_t>(ms >> 24)}
-    {
+/** The header of a frame admission gates — a SubmitBatch; nullopt
+ *  for control ops (Open/Close/QueryStats/...), which must stay
+ *  answerable during overload, when operators need them. */
+std::optional<FrameHeader>
+gatedHeader(ByteView frame)
+{
+    const auto header = peekHeader(frame.data(), frame.size());
+    if (!header || static_cast<Op>(header->op) != Op::SubmitBatch)
+        return std::nullopt;
+    return header;
+}
+
+/** Response for frames rejected before parsing (queue full /
+ *  shutdown): echo what little of the header is readable. `body`
+ *  carries retry advice on RetryAfter. */
+Bytes
+rejectionResponse(ByteView request_frame, Status status,
+                  ByteView body = {})
+{
+    uint16_t raw_op = 0;
+    uint64_t session_id = 0;
+    uint16_t version = PROTOCOL_VERSION;
+    if (const auto header = peekHeader(request_frame.data(),
+                                       request_frame.size())) {
+        raw_op = header->op;
+        session_id = header->session_id;
+        version = header->version; // encodeResponseInto clamps
     }
-
-    ByteView view() const { return ByteView(buf, sizeof(buf)); }
-};
+    Bytes out;
+    encodeResponseInto(out, raw_op, session_id, status, body,
+                       version);
+    return out;
+}
 
 } // namespace
 
-LivePhaseService::LivePhaseService()
-    : LivePhaseService(Config{})
-{
-}
-
 LivePhaseService::LivePhaseService(Config config)
-    : cfg(config), manager(cfg.sessions, &counters),
-      queue(cfg.queue_capacity)
+    : LivePhaseService(std::move(config), PhaseClassifier::table1(),
+                       DvfsPolicy::table2(PhaseClassifier::table1(),
+                                          DvfsTable::pentiumM()))
 {
-    if (cfg.max_batch == 0)
-        fatal("LivePhaseService: max_batch must be > 0");
-    initAdmission();
-    initWatchdog();
-    initProfiler();
-    pool.reserve(cfg.workers);
-    for (size_t i = 0; i < cfg.workers; ++i)
-        pool.emplace_back([this] { workerLoop(); });
 }
 
 LivePhaseService::LivePhaseService(Config config,
@@ -75,9 +91,14 @@ LivePhaseService::LivePhaseService(Config config,
     initAdmission();
     initWatchdog();
     initProfiler();
+    // Register workers with the profiler here: a late-starting worker
+    // would make those allocations inside the caller's first requests.
     pool.reserve(cfg.workers);
-    for (size_t i = 0; i < cfg.workers; ++i)
-        pool.emplace_back([this] { workerLoop(); });
+    for (size_t i = 0; i < cfg.workers; ++i) {
+        obs::Profiler::ThreadState *profile =
+            obs::Profiler::global().reserveThread("worker");
+        pool.emplace_back([this, profile] { workerLoop(profile); });
+    }
 }
 
 void
@@ -174,25 +195,6 @@ LivePhaseService::stop()
             ByteView(*req->frame), Status::ShuttingDown));
 }
 
-Bytes
-LivePhaseService::rejectionResponse(ByteView request_frame,
-                                    Status status, ByteView body)
-{
-    uint16_t raw_op = 0;
-    uint64_t session_id = 0;
-    uint16_t version = PROTOCOL_VERSION;
-    if (const auto header = peekHeader(request_frame.data(),
-                                       request_frame.size())) {
-        raw_op = header->op;
-        session_id = header->session_id;
-        version = header->version; // encodeResponseInto clamps
-    }
-    Bytes out;
-    encodeResponseInto(out, raw_op, session_id, status, body,
-                       version);
-    return out;
-}
-
 uint32_t
 LivePhaseService::retryAfterMs() const
 {
@@ -219,24 +221,22 @@ LivePhaseService::shedEarly(ByteView request_frame, Bytes &response)
 {
     if (!admit_ctl)
         return false;
-    const auto header =
-        peekHeader(request_frame.data(), request_frame.size());
-    if (!header || static_cast<Op>(header->op) != Op::SubmitBatch)
+    const auto header = gatedHeader(request_frame);
+    if (!header)
         return false;
     const admission::Decision verdict =
         admit_ctl->decide(peekTenantTag(request_frame));
     if (verdict.admit)
         return false;
-    const RetryAdvice advice(verdict.retry_after_ms);
     encodeResponseInto(response, header->op, header->session_id,
-                       Status::Throttled, advice.view(),
+                       Status::Throttled,
+                       retryAdvice(verdict.retry_after_ms),
                        header->version);
     return true;
 }
 
 std::future<Bytes>
-LivePhaseService::submit(BufferPool::Lease request_frame,
-                         bool pre_admitted)
+LivePhaseService::submit(BufferPool::Lease request_frame)
 {
     Request req;
     req.frame = std::move(request_frame);
@@ -253,62 +253,27 @@ LivePhaseService::submit(BufferPool::Lease request_frame,
         return result;
     }
 
-    // QoS admission: only SubmitBatch frames spend budget — control
-    // ops (Open/Close/QueryStats/...) must stay answerable during
-    // overload, which is exactly when operators need them.
-    if (admit_ctl) {
-        const auto header =
-            peekHeader(req.frame->data(), req.frame->size());
-        if (header &&
-            static_cast<Op>(header->op) == Op::SubmitBatch) {
-            // The tag is needed even when the budget was already
-            // spent in shedEarly(): the worker attributes the
-            // observed queue wait to it after dequeue.
-            req.tag = peekTenantTag(ByteView(*req.frame));
-            if (!pre_admitted) {
-                const admission::Decision verdict =
-                    admit_ctl->decide(req.tag);
-                if (!verdict.admit) {
-                    const RetryAdvice advice(
-                        verdict.retry_after_ms);
-                    req.reply.set_value(rejectionResponse(
-                        ByteView(*req.frame), Status::Throttled,
-                        advice.view()));
-                    return result;
-                }
-            }
-        }
-    }
+    // Not a decision (shedEarly() made it): the worker attributes
+    // the observed queue wait to the frame's tag after dequeue.
+    if (admit_ctl && gatedHeader(ByteView(*req.frame)))
+        req.tag = peekTenantTag(ByteView(*req.frame));
 
     // Failpoint "service.queue": Error answers RetryAfter as if the
     // queue were full — forced backpressure without real pressure.
-    if (auto f = FAULT_POINT("service.queue");
-        f.action == fault::Action::Error) {
+    const bool forced_full =
+        FAULT_POINT("service.queue").action == fault::Action::Error;
+    if (!forced_full &&
+        (serveInline(req) || queue.tryPush(std::move(req))))
+        return result;
+    // tryPush moves only on success, so req is still whole.
+    if (stopping.load(std::memory_order_acquire)) {
+        req.reply.set_value(rejectionResponse(
+            ByteView(*req.frame), Status::ShuttingDown));
+    } else {
         counters.frameRejectedQueueFull();
-        const RetryAdvice advice(retryAfterMs());
         req.reply.set_value(rejectionResponse(
             ByteView(*req.frame), Status::RetryAfter,
-            advice.view()));
-        return result;
-    }
-
-    if (serveInline(req))
-        return result;
-
-    if (!queue.tryPush(std::move(req))) {
-        // tryPush moves only on success, so req is still whole.
-        const Status status = stopping.load(std::memory_order_acquire)
-            ? Status::ShuttingDown
-            : Status::RetryAfter;
-        if (status == Status::RetryAfter) {
-            counters.frameRejectedQueueFull();
-            const RetryAdvice advice(retryAfterMs());
-            req.reply.set_value(rejectionResponse(
-                ByteView(*req.frame), status, advice.view()));
-        } else {
-            req.reply.set_value(
-                rejectionResponse(ByteView(*req.frame), status));
-        }
+            retryAdvice(retryAfterMs())));
     }
     return result;
     // req.frame's lease ends here on the rejection paths, recycling
@@ -316,11 +281,11 @@ LivePhaseService::submit(BufferPool::Lease request_frame,
 }
 
 void
-LivePhaseService::workerLoop()
+LivePhaseService::workerLoop(obs::Profiler::ThreadState *profile)
 {
-    // Register with the profiling plane for the thread's lifetime;
+    // Registered with the profiling plane for the thread's lifetime;
     // while the profiler is stopped this allocates no sample ring.
-    obs::ThreadProfile profile_guard("worker");
+    obs::ThreadProfile profile_guard(profile);
     while (auto req = queue.pop()) {
         in_service.fetch_add(1);
         serveRequest(*req);
@@ -413,24 +378,14 @@ LivePhaseService::serveRequest(Request &req)
     // it donates the storage back via giveBack(). The request
     // frame's lease ends when `req` dies.
     BufferPool::Lease response = BufferPool::global().lease();
-    handleFrameInto(ByteView(*req.frame), *response, req.enqueue_ns,
-                    /*pre_admitted=*/true);
+    handleFrameInto(ByteView(*req.frame), *response, req.enqueue_ns);
     req.reply.set_value(response.detach());
 }
 
 void
 LivePhaseService::handleFrameInto(ByteView request_frame,
-                                  Bytes &response)
-{
-    handleFrameInto(request_frame, response, 0,
-                    /*pre_admitted=*/false);
-}
-
-void
-LivePhaseService::handleFrameInto(ByteView request_frame,
                                   Bytes &response,
-                                  uint64_t enqueue_ns,
-                                  bool pre_admitted)
+                                  uint64_t enqueue_ns)
 {
     // Histogram + span-stack scope covers the whole request,
     // including parsing, so malformed-frame flight events still
@@ -482,23 +437,6 @@ LivePhaseService::handleFrameInto(ByteView request_frame,
                            parsed.header.session_id, parse_status,
                            {}, parsed.header.version);
         return;
-    }
-
-    // Synchronous transports skip submit(), so their SubmitBatch
-    // frames meet admission here instead — same verdict, same
-    // Throttled + retry-advice response, still allocation-free.
-    if (admit_ctl && !pre_admitted &&
-        static_cast<Op>(parsed.header.op) == Op::SubmitBatch) {
-        const admission::Decision verdict =
-            admit_ctl->decide(parsed.tenant_tag);
-        if (!verdict.admit) {
-            const RetryAdvice advice(verdict.retry_after_ms);
-            encodeResponseInto(response, parsed.header.op,
-                               parsed.header.session_id,
-                               Status::Throttled, advice.view(),
-                               parsed.header.version);
-            return;
-        }
     }
 
     {

@@ -3,17 +3,19 @@
  * `livephased` — the phase-prediction service.
  *
  * Serving shape: clients encode protocol frames (see protocol.hh)
- * and submit() them; each submit is one request. When the service is
- * idle — empty queue, fewer than `workers` frames in service — the
- * request is served on the submitting thread (caller-runs, as the
- * paper's PMI handler computes its prediction on the CPU that took
- * the interrupt) and the future comes back already fulfilled.
- * Otherwise a bounded MPMC queue hands it to a fixed worker pool;
- * the worker parses, dispatches against the sharded SessionManager,
- * and fulfils the client's future with the response frame. Both
- * paths run the same serveRequest(). A full queue is answered
- * *immediately* with Status::RetryAfter (never unbounded buffering,
- * never silent drops) — the client backs off and retries.
+ * and hand them to an ingress (in-process, UDS, simulated network),
+ * which calls shedEarly() — the service's one QoS admission
+ * decision — and then submit(); each submit is one request. When
+ * the service is idle — empty queue, fewer than `workers` frames in
+ * service — the request is served on the submitting thread
+ * (caller-runs, as the paper's PMI handler computes its prediction
+ * on the CPU that took the interrupt) and the future comes back
+ * already fulfilled. Otherwise a bounded MPMC queue hands it to a
+ * fixed worker pool; the worker parses, dispatches against the
+ * sharded SessionManager, and fulfils the client's future with the
+ * response frame. Both paths run the same serveRequest(). A full
+ * queue is answered *immediately* with Status::RetryAfter (never
+ * unbounded buffering, never silent drops).
  *
  * The synchronous entry point handleFrameInto() is the same parse +
  * dispatch path minus the queue and the future: serveRequest(),
@@ -37,6 +39,7 @@
 
 #include "admission/admission.hh"
 #include "common/buffer_pool.hh"
+#include "obs/profiler.hh"
 #include "obs/watchdog.hh"
 #include "service/protocol.hh"
 #include "service/request_queue.hh"
@@ -72,7 +75,7 @@ class LivePhaseService
 
         /** Adaptive admission control (ratekeeper + per-tenant QoS
          *  throttling, src/admission/). Disabled by default: no
-         *  controller thread, no admission check on submit. */
+         *  controller thread, shedEarly() never sheds. */
         admission::AdmissionConfig admission{};
 
         /** SLO watchdog (obs/watchdog.hh). Disabled by default: no
@@ -109,12 +112,14 @@ class LivePhaseService
     };
 
     /** Default Config: deployed pipeline, 2 workers, queue 256. */
-    LivePhaseService();
+    LivePhaseService() : LivePhaseService(Config{}) {}
 
     /** Deployed defaults: Table-1 phases, Table-2 policy. */
     explicit LivePhaseService(Config cfg);
 
-    /** Custom pipeline pieces and (for tests) an injected clock. */
+    /** Custom pipeline pieces and (for tests) an injected clock.
+     *  Every worker is registered with the profiling plane before
+     *  the constructor returns. */
     LivePhaseService(Config cfg, PhaseClassifier classifier,
                      DvfsPolicy policy,
                      SessionManager::Clock clock = {});
@@ -125,39 +130,34 @@ class LivePhaseService
     LivePhaseService &operator=(const LivePhaseService &) = delete;
 
     /**
-     * Serve or queue a leased request frame. The future always
-     * resolves with a response frame:
+     * Serve or queue a leased request frame that shedEarly() did not
+     * shed. The future always resolves with a response frame:
      *  - service idle (workers > 0, queue empty, fewer than
      *    `workers` frames in service): served on the calling thread
      *    before submit() returns, so the future is already ready;
      *  - queue accepted: resolved by a worker (or drainOne());
      *  - queue full: resolved immediately with RetryAfter;
      *  - service stopping: resolved immediately with ShuttingDown.
-     * The stopping, admission and "service.queue" failpoint checks
-     * run once per frame before either path. At most `workers`
-     * frames run inline alongside the pool's `workers`.
+     * The stopping and "service.queue" failpoint checks run once per
+     * frame before either path. At most `workers` frames run inline
+     * alongside the pool's `workers`.
      * The frame's storage is recycled through the lease once it has
      * been served; the response travels as owning Bytes
      * (the std::future contract) whose storage was itself leased —
      * transports giveBack() their previous buffer to keep the
-     * recycle loop closed. `pre_admitted` skips the QoS admission
-     * check — set by callers that already ran shedEarly() on this
-     * frame (decide() must spend budget exactly once per frame).
+     * recycle loop closed.
      */
-    std::future<Bytes> submit(BufferPool::Lease request_frame,
-                              bool pre_admitted = false);
+    std::future<Bytes> submit(BufferPool::Lease request_frame);
 
     /**
-     * QoS admission preflight on a frame *view*, before the caller
-     * pays the queue handoff (lease copy, promise/future). True
-     * means the frame was shed: `response` (cleared first, capacity
-     * reused) holds the Throttled + retry-advice frame and the
-     * caller must not submit. False means proceed — and when the
-     * frame is a SubmitBatch under admission control its budget is
-     * already spent, so complete the handoff with
-     * submit(..., pre_admitted = true). This is what keeps a
-     * rejected request cheap under overload: an attacker's shed
-     * frame costs a header peek and one token CAS, not a copy.
+     * The service's one QoS admission decision, which every ingress
+     * makes first, on a frame *view*, before it pays the queue
+     * handoff (lease copy, promise/future). True: the frame was
+     * shed, and `response` (cleared first, capacity reused) holds
+     * the Throttled + retry-advice frame; do not submit it. False:
+     * submit() it — a SubmitBatch has spent its budget here. Under
+     * overload a shed frame costs a header peek and one token CAS,
+     * not a copy.
      */
     bool shedEarly(ByteView request_frame, Bytes &response);
 
@@ -170,8 +170,11 @@ class LivePhaseService
      * decoded record view reads the request bytes while the
      * response is being written. Never throws, never fatal()s on
      * malformed input — always produces a response frame.
+     * `enqueue_ns` is the submit-time obs::monoNowNs() of a queued
+     * frame, annotated on its trace span as queue wait; 0 = none.
      */
-    void handleFrameInto(ByteView request_frame, Bytes &response);
+    void handleFrameInto(ByteView request_frame, Bytes &response,
+                         uint64_t enqueue_ns = 0);
 
     /**
      * Process one queued request on the calling thread (workers = 0
@@ -223,7 +226,9 @@ class LivePhaseService
         TenantTag tag = 0;
     };
 
-    void workerLoop();
+    /** Serves the queue until it closes, under the profiler
+     *  registration the constructor reserved for this worker. */
+    void workerLoop(obs::Profiler::ThreadState *profile);
     void serveRequest(Request &req);
 
     /** Caller-runs: serve `req` on this thread when the service is
@@ -248,20 +253,6 @@ class LivePhaseService
     /** Phase-telemetry response body for QueryPhases. */
     std::string phasesText(uint64_t session_id,
                            uint16_t raw_format, Status &status);
-
-    /** handleFrameInto with the submit-time timestamp (0 =
-     *  unqueued); annotates the request's trace span with its
-     *  queue wait. `pre_admitted` marks frames that already passed
-     *  the admission check in submit(); the synchronous path passes
-     *  false and is checked after parsing. */
-    void handleFrameInto(ByteView request_frame, Bytes &response,
-                         uint64_t enqueue_ns, bool pre_admitted);
-
-    /** Response for frames rejected before parsing (queue full /
-     *  shutdown): echo what little of the header is readable.
-     *  `body` carries retry advice on RetryAfter/Throttled. */
-    Bytes rejectionResponse(ByteView request_frame, Status status,
-                            ByteView body = {});
 
     /** Queue-full retry advice: expected drain time of the current
      *  backlog from the measured per-request handle latency —

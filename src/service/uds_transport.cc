@@ -377,9 +377,12 @@ UdsServer::serveConnection(int fd)
             sendAll(fd, response.data(), response.size());
             break;
         }
-        Bytes got = svc.submit(std::move(frame)).get();
-        BufferPool::global().giveBack(std::move(response));
-        response = std::move(got);
+        // A shed frame's reply is encoded into `response` itself.
+        if (!svc.shedEarly(ByteView(*frame), response)) {
+            Bytes got = svc.submit(std::move(frame)).get();
+            BufferPool::global().giveBack(std::move(response));
+            response = std::move(got);
+        }
         tc.bytes_out.inc(response.size());
         if (!sendAll(fd, response.data(), response.size()))
             break;

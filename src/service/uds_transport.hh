@@ -12,10 +12,10 @@
  *
  * The server runs one acceptor thread plus one thread per
  * connection; every accepted frame goes through the service's
- * submit() path, so socket clients see the same admission, queueing
- * and RetryAfter backpressure as in-process ones. An idle service
- * serves the frame on the connection thread itself (caller-runs);
- * under load it queues for the worker pool.
+ * shedEarly() then submit(), so socket clients see the same
+ * admission, queueing and RetryAfter backpressure as in-process
+ * ones. An idle service serves the frame on the connection thread
+ * itself (caller-runs); under load it queues for the worker pool.
  *
  * Both ends wait for a frame spin-then-block: a connection whose
  * previous frame arrived within a 50 us budget probes with

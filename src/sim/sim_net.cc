@@ -104,18 +104,17 @@ SimNet::logEvent(uint32_t node, uint32_t client, NetEventKind kind,
 Bytes
 SimNet::serve(service::LivePhaseService &svc, const Bytes &request)
 {
-    // The node's real ingress path, workers = 0: admission preflight
-    // on the borrowed view, then the bounded queue, then a manual
-    // drain. Backpressure (RetryAfter on a full queue, Throttled
-    // from QoS shedding) is produced by the service itself, not
-    // modelled here.
+    // The node's real ingress path, workers = 0: the admission
+    // decision on the borrowed view, then the bounded queue, then a
+    // manual drain. Backpressure (RetryAfter on a full queue,
+    // Throttled from QoS shedding) is produced by the service
+    // itself, not modelled here.
     Bytes shed;
     if (svc.shedEarly(ByteView(request), shed))
         return shed;
     BufferPool::Lease tx = BufferPool::global().lease();
     tx->assign(request.begin(), request.end());
-    std::future<Bytes> reply =
-        svc.submit(std::move(tx), /*pre_admitted=*/true);
+    std::future<Bytes> reply = svc.submit(std::move(tx));
     // Queue-full / shutdown rejections resolve the future
     // immediately; everything else needs exactly as many drains as
     // there are queued requests ahead of ours (other actors may have

@@ -24,10 +24,11 @@
  *    network faults with the same seeded determinism as everything
  *    else.
  *
- * Delivery goes through the node's *real* service queue
- * (shedEarly + submit + drainOne, the workers=0 mode), so admission
- * shedding, RetryAfter backpressure and queue-wait accounting stay
- * live under simulation.
+ * Delivery goes through the node's *real* ingress, the two steps
+ * every transport takes: shedEarly() decides admission, then
+ * submit() queues the frame and drainOne() serves it (the workers=0
+ * mode). So admission shedding, RetryAfter backpressure and
+ * queue-wait accounting stay live under simulation.
  *
  * SimNet keeps the accounting the invariant checker audits: every
  * frame is sent, then either delivered or dropped-on-request; every

@@ -11,7 +11,10 @@
  * sampleOnce(), so budgets and token counts are deterministic.
  */
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -20,6 +23,8 @@
 #include "fault/failpoint.hh"
 #include "service/client.hh"
 #include "service/service.hh"
+#include "service/uds_transport.hh"
+#include "sim/sim_net.hh"
 
 using namespace livephase;
 using namespace livephase::admission;
@@ -423,6 +428,135 @@ TEST(ServiceAdmission, ThrottledResponseCarriesRetryAdvice)
 
     const auto *admit = svc.admissionControl();
     ASSERT_NE(admit, nullptr);
+}
+
+/** Admission on, no controller thread, and a QoS tag `t` whose
+ *  bucket holds one token: the first tagged batch is admitted, the
+ *  next is shed until a token accrues (~0.4 s later). */
+livephase::service::LivePhaseService::Config
+oneTokenConfig(size_t workers)
+{
+    livephase::service::LivePhaseService::Config cfg;
+    cfg.workers = workers;
+    cfg.admission.enabled = true;
+    cfg.admission.controller.sample_period_ms = 0;
+    cfg.admission.controller.min_budget = 5.0;
+    cfg.admission.controller.max_budget = 5.0;
+    std::string error;
+    EXPECT_TRUE(parseQosSpec("tag=t", cfg.admission, &error)) << error;
+    return cfg;
+}
+
+std::string
+socketPath(const char *name)
+{
+    return "/tmp/livephased_" + std::string(name) + "_" +
+        std::to_string(static_cast<unsigned>(::getpid())) + ".sock";
+}
+
+TEST(ServiceAdmission, ThrottledOverUds)
+{
+    using namespace livephase::service;
+
+    const LivePhaseService::Config cfg = oneTokenConfig(1);
+    LivePhaseService svc(cfg);
+    const std::string path = socketPath("qos");
+    UdsServer server(svc, path);
+    if (!server.start())
+        GTEST_SKIP() << "AF_UNIX unavailable in this environment";
+    UdsClientTransport transport(path);
+    ASSERT_TRUE(transport.connect());
+    ServiceClient client(transport);
+    const auto open = client.open(PredictorKind::LastValue);
+    ASSERT_EQ(open.status, Status::Ok);
+    client.setTenantTag(tagForName(cfg.admission, "t"));
+
+    const std::vector<IntervalRecord> records = {{100e6, 1e6, 1}};
+    EXPECT_EQ(client.submitBatch(open.session_id, records).status,
+              Status::Ok);
+    const auto reply = client.submitBatch(open.session_id, records);
+    ASSERT_EQ(reply.status, Status::Throttled);
+    EXPECT_GE(client.lastCall().retry_hint_ms, 1u);
+    // The shed reply left the stream in step: the connection still
+    // serves the next frame.
+    EXPECT_EQ(client.queryStats().status, Status::Ok);
+    EXPECT_EQ(client.close(open.session_id), Status::Ok);
+    server.stop();
+}
+
+/** Send `frames` tagged batches through `transport` and check that
+ *  the throttler made exactly one decision per frame: its admitted
+ *  and shed counters move by the Ok and Throttled replies seen. */
+void
+expectOneDecisionPerFrame(livephase::service::LivePhaseService &svc,
+                          livephase::service::FrameTransport &transport,
+                          int frames)
+{
+    using namespace livephase::service;
+
+    ServiceClient client(transport);
+    const auto open = client.open(PredictorKind::LastValue);
+    ASSERT_EQ(open.status, Status::Ok);
+    client.setTenantTag(tagForName(svc.config().admission, "t"));
+    const auto counts = [&svc] {
+        for (const auto &row : svc.admissionControl()->tagTable()) {
+            if (row.name == "t")
+                return std::pair<uint64_t, uint64_t>{
+                    row.admitted,
+                    row.shed_throttle + row.shed_deadline};
+        }
+        return std::pair<uint64_t, uint64_t>{};
+    };
+    const auto before = counts();
+    uint64_t ok = 0;
+    uint64_t throttled = 0;
+    const std::vector<IntervalRecord> records = {{100e6, 1e6, 1}};
+    for (int i = 0; i < frames; ++i) {
+        const Status status =
+            client.submitBatch(open.session_id, records).status;
+        ok += status == Status::Ok;
+        throttled += status == Status::Throttled;
+    }
+    const auto after = counts();
+    EXPECT_EQ(ok + throttled, static_cast<uint64_t>(frames));
+    EXPECT_GE(ok, 1u);
+    EXPECT_GE(throttled, 1u);
+    EXPECT_EQ(after.first - before.first, ok);
+    EXPECT_EQ(after.second - before.second, throttled);
+    EXPECT_EQ(client.close(open.session_id), Status::Ok);
+}
+
+TEST(ServiceAdmission, OneDecisionPerFrameOnEveryIngress)
+{
+    using namespace livephase::service;
+    constexpr int FRAMES = 8;
+
+    {
+        LivePhaseService svc(oneTokenConfig(1));
+        InProcessTransport transport(svc);
+        expectOneDecisionPerFrame(svc, transport, FRAMES);
+    }
+    {
+        LivePhaseService svc(oneTokenConfig(1));
+        const std::string path = socketPath("qos_count");
+        UdsServer server(svc, path);
+        if (server.start()) {
+            UdsClientTransport transport(path);
+            ASSERT_TRUE(transport.connect());
+            expectOneDecisionPerFrame(svc, transport, FRAMES);
+            server.stop();
+        }
+    }
+    {
+        // The simulator's ingress, workers = 0: queued frames are
+        // drained by hand inside each round trip.
+        LivePhaseService svc(oneTokenConfig(0));
+        sim::SimScheduler sched(1);
+        sim::SimNet net(sched, 1);
+        sim::SimTransport transport(net, svc, 0, 0, sim::LinkConfig{},
+                                    Rng(1));
+        expectOneDecisionPerFrame(svc, transport, FRAMES);
+    }
 }
 
 TEST(ServiceAdmission, DisabledConfigCostsNothing)

@@ -590,6 +590,23 @@ TEST(Service, StopRacingSubmittersResolvesEveryFuture)
     svc.reset();
 }
 
+TEST(Service, ConstructorReturnsWithEveryWorkerRegistered)
+{
+    // A worker that registers with the profiling plane after the
+    // constructor returns makes that registration's allocations
+    // inside the caller's first requests, where the allocation gate
+    // (bench_pipeline_allocs, which counts every thread) sees them.
+    const obs::Profiler &prof = obs::Profiler::global();
+    const size_t idle = prof.threadCount();
+    for (int round = 0; round < 20; ++round) {
+        LivePhaseService::Config cfg;
+        cfg.workers = 3;
+        LivePhaseService svc(cfg);
+        ASSERT_EQ(prof.threadCount(), idle + 3) << "round " << round;
+    }
+    EXPECT_EQ(prof.threadCount(), idle);
+}
+
 TEST(Service, ShutdownRefusesNewWork)
 {
     LivePhaseService svc;
